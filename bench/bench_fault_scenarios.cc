@@ -260,7 +260,7 @@ Status CheckCrashRestore() {
     core::ExperimentConfig base = FaultBaseConfig();
     bench::MaybeApplySmoke(base);
     // Serial dispatch keeps the 3x nine-algorithm sweep cheap; the
-    // determinism suite separately proves every {backend, threads, shards}
+    // determinism suite separately proves every {threads, shards, queue}
     // point produces these same bits.
     base.threads = bench::ThreadsOverride() >= 0 ? bench::ThreadsOverride()
                                                  : 1;

@@ -10,7 +10,7 @@
 // that stay within 1% accuracy of their uncompressed run.
 //
 // All numbers here are virtual-time results and are bit-identical across
-// {backend, threads, shards, reorder window, event queue} — this bench's
+// {threads, shards, event queue} — this bench's
 // stdout is safe to diff across execution points. Set NETMAX_COMM_JSON=path
 // to also write the report as JSON — BENCH_comm.json in the repo root is a
 // committed SMOKE-mode snapshot the CI perf lane gates bytes_sent against

@@ -156,41 +156,6 @@ BENCHMARK(BM_Scale32SimulationWall)
     ->UseRealTime()  // the main thread blocks while the pool computes
     ->Unit(benchmark::kMillisecond);
 
-// The same scenario through the multi-process backend: Arg is the forked
-// child count (0 = one per hardware core). Tracks the fork + shared-memory
-// ring dispatch overhead against BM_Scale32SimulationWall/1 (serial) across
-// commits; on the single-core capture container the leg is report-only —
-// children time-slicing one core cannot beat serial — but the ratio is the
-// number that must not regress.
-void BM_Scale32ProcessBackendWall(benchmark::State& state) {
-  core::ExperimentConfig config;
-  config.num_workers = 32;
-  config.hidden_layers = {96};
-  config.dataset.num_train = 2048;
-  config.dataset.num_test = 128;
-  config.max_epochs = 2;
-  config.network = core::NetworkScenario::kHeterogeneousDynamic;
-  config.slowdown_period_seconds = 20.0;
-  config.monitor_period_seconds = 8.0;
-  config.generator.outer_rounds = 3;
-  config.generator.inner_rounds = 3;
-  config.seed = 5;
-  config.backend = core::ExecutionBackendKind::kProcessPool;
-  config.procs = static_cast<int>(state.range(0));
-  auto algorithm = algos::MakeAlgorithm("netmax");
-  NETMAX_CHECK(algorithm.ok()) << algorithm.status();
-  for (auto _ : state) {
-    auto result = (*algorithm)->Run(config);
-    NETMAX_CHECK(result.ok()) << result.status();
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_Scale32ProcessBackendWall)
-    ->Arg(2)
-    ->Arg(0)
-    ->UseRealTime()  // the parent blocks while children compute
-    ->Unit(benchmark::kMillisecond);
-
 void BM_MatrixMultiply(benchmark::State& state) {
   // The GEMM substrate (policy matrices, Y_P products).
   const int n = static_cast<int>(state.range(0));

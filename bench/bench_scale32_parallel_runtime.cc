@@ -1,19 +1,13 @@
 // Scaling headroom demo for the parallel simulation runtime: a 32-worker
 // heterogeneous-dynamic scenario (8 servers, dynamic slow links) training a
 // wider MLP than the paper-scale benches. Each algorithm runs the identical
-// experiment through all four execution backends — serial dispatch
-// (threads=1), the pooled speculative frontier dispatch with intra-worker
-// gradient sharding, the async bounded-reorder commit pipeline, and the
-// multi-process backend (forked children evaluating leaf ranges through the
-// MAP_SHARED arena) — and the bench reports real wall-clock for all four
-// plus the speculation / re-dispatch / window-health counters, after
-// verifying the runs are bit-identical. Virtual-time results never depend on
-// the backend, thread, shard, window, or process-count choice; only the real
-// seconds columns do (expect ~1x on a single-core machine; on real
-// multi-core hardware the pooled backends scale with cores, the async
-// pipeline additionally stops paying the frontier barrier when per-worker
-// compute times diverge, and the process leg adds fork+IPC overhead that
-// only pays off once per-wave compute dwarfs the ring round-trip).
+// experiment twice — serial dispatch (threads=1) and the pooled speculative
+// frontier dispatch with intra-worker gradient sharding — and the bench
+// reports real wall-clock for both plus the speculation / re-dispatch
+// counters, after verifying the runs are bit-identical. Virtual-time results
+// never depend on the thread or shard choice; only the real seconds columns
+// do (expect ~1x on a single-core machine; on multi-core hardware the pooled
+// leg scales with cores).
 
 #include <algorithm>
 #include <chrono>
@@ -26,7 +20,6 @@
 #include "bench/bench_util.h"
 #include "common/logging.h"
 #include "common/table.h"
-#include "core/execution_backend.h"
 
 namespace netmax {
 namespace {
@@ -50,14 +43,10 @@ struct TimedRun {
 
 StatusOr<TimedRun> RunWith(const std::string& name,
                            const core::ExperimentConfig& base, int threads,
-                           int shards, core::ExecutionBackendKind backend,
-                           int reorder_window, int procs = 0) {
+                           int shards) {
   core::ExperimentConfig config = base;
   config.threads = threads;
   config.shards = shards;
-  config.backend = backend;
-  config.reorder_window = reorder_window;
-  config.procs = procs;
   NETMAX_ASSIGN_OR_RETURN(const auto algorithm, algos::MakeAlgorithm(name));
   const auto start = std::chrono::steady_clock::now();
   auto result = algorithm->Run(config);
@@ -86,84 +75,45 @@ void CheckBitIdentical(const std::string& name, const core::RunResult& a,
 Status Run() {
   core::ExperimentConfig config = Scale32Config();
   bench::MaybeApplySmoke(config);
-  // --threads=N pins the pooled legs; otherwise one thread per hardware
-  // core, floored at 2 so the pooled backends are exercised (and measured
-  // honestly) even on a single-core machine. --shards=N pins both pooled
-  // legs' shard bound (default 4 = the leaf count of the batch-32 scenario,
-  // the maximum nested parallelism available per worker), and
-  // --reorder-window=N pins the async leg's window (default 2x the thread
-  // budget: enough slack that a straggling compute never idles the pool).
+  // --threads=N pins the pooled leg; otherwise one thread per hardware
+  // core, floored at 2 so the speculative backend is exercised (and measured
+  // honestly) even on a single-core machine. --shards=N pins its shard bound
+  // (default 4 = the leaf count of the batch-32 scenario, the maximum nested
+  // parallelism available per worker).
   const unsigned hw = std::thread::hardware_concurrency();
   const int parallel_threads = bench::ThreadsOverride() > 0
                                    ? bench::ThreadsOverride()
                                    : std::max(2, static_cast<int>(hw));
-  // >= 0 so an explicit --shards=0 / --reorder-window=0 keeps its documented
-  // meaning (harness auto resolution / synchronous window) instead of being
-  // silently pinned to the bench default.
+  // >= 0 so an explicit --shards=0 keeps its documented meaning (harness auto
+  // resolution) instead of being silently pinned to the bench default.
   const int sharded_shards =
       bench::ShardsOverride() >= 0 ? bench::ShardsOverride() : 4;
-  const int reorder_window = bench::ReorderWindowOverride() >= 0
-                                 ? bench::ReorderWindowOverride()
-                                 : 2 * parallel_threads;
-  // --procs=N pins the process leg's child count; otherwise one child per
-  // hardware core, floored at 2 so the forked dispatch path is exercised
-  // even on a single-core machine (where the leg is report-only: two
-  // children time-slicing one core cannot beat serial).
-  const int process_procs = bench::ProcsOverride() > 0
-                                ? bench::ProcsOverride()
-                                : std::max(2, static_cast<int>(hw));
 
   TablePrinter table({"algorithm", "virtual_s", "serial_wall_s",
-                      "speculative_wall_s", "async_wall_s", "process_wall_s",
-                      "spec_speedup", "async_speedup", "process_speedup",
-                      "speculated", "redispatched", "stalls", "backpressure",
-                      "child_deaths"});
+                      "speculative_wall_s", "spec_speedup", "speculated",
+                      "redispatched"});
   for (const std::string name : {"netmax", "adpsgd", "allreduce", "gossip"}) {
     NETMAX_ASSIGN_OR_RETURN(
         const TimedRun serial,
-        RunWith(name, config, /*threads=*/1, /*shards=*/1,
-                core::ExecutionBackendKind::kSerial, /*reorder_window=*/0));
+        RunWith(name, config, /*threads=*/1, /*shards=*/1));
     NETMAX_ASSIGN_OR_RETURN(
         const TimedRun speculative,
-        RunWith(name, config, parallel_threads, sharded_shards,
-                core::ExecutionBackendKind::kSpeculative,
-                /*reorder_window=*/0));
-    NETMAX_ASSIGN_OR_RETURN(
-        const TimedRun async,
-        RunWith(name, config, parallel_threads, sharded_shards,
-                core::ExecutionBackendKind::kAsyncPipeline, reorder_window));
-    // Process leg: the harness forces threads=1 under the process backend
-    // (fork from a multi-threaded parent is unsafe), so parallelism comes
-    // entirely from the forked children.
-    NETMAX_ASSIGN_OR_RETURN(
-        const TimedRun process,
-        RunWith(name, config, /*threads=*/1, /*shards=*/1,
-                core::ExecutionBackendKind::kProcessPool,
-                /*reorder_window=*/0, process_procs));
+        RunWith(name, config, parallel_threads, sharded_shards));
     CheckBitIdentical(name, serial.result, speculative.result);
-    CheckBitIdentical(name, serial.result, async.result);
-    CheckBitIdentical(name, serial.result, process.result);
-    NETMAX_CHECK_EQ(process.result.process_child_deaths, 0) << name;
-    const auto speedup = [&serial](double wall) {
-      return wall > 0.0 ? serial.wall_seconds / wall : 0.0;
-    };
     table.AddRow(
         {serial.result.algorithm,
          Fmt(serial.result.total_virtual_seconds, 1),
          Fmt(serial.wall_seconds, 3), Fmt(speculative.wall_seconds, 3),
-         Fmt(async.wall_seconds, 3), Fmt(process.wall_seconds, 3),
-         Fmt(speedup(speculative.wall_seconds), 2),
-         Fmt(speedup(async.wall_seconds), 2),
-         Fmt(speedup(process.wall_seconds), 2),
-         std::to_string(async.result.computes_speculated),
-         std::to_string(async.result.computes_redispatched),
-         std::to_string(async.result.window_stalls),
-         std::to_string(async.result.window_backpressure),
-         std::to_string(process.result.process_child_deaths)});
+         Fmt(speculative.wall_seconds > 0.0
+                 ? serial.wall_seconds / speculative.wall_seconds
+                 : 0.0,
+             2),
+         std::to_string(speculative.result.computes_speculated),
+         std::to_string(speculative.result.computes_redispatched)});
   }
   std::cout << "\n== Scale-32 parallel runtime (32 workers, hidden=96; "
-               "serial vs speculative+sharded vs async reorder-window vs "
-               "multi-process backends; results verified bit-identical) ==\n";
+               "serial vs speculative+sharded; results verified "
+               "bit-identical) ==\n";
   table.Print(std::cout);
   table.PrintCsv(std::cout, "Scale-32 parallel runtime");
   return Status::Ok();

@@ -1,6 +1,6 @@
 // Scale frontier of the simulator core: how many simulated events per second
-// each event-queue backend sustains as the worker count grows, and where the
-// queue choice starts to dominate a run's wall clock.
+// each event queue sustains as the worker count grows, and where the queue
+// choice starts to dominate a run's wall clock.
 //
 // Three panels:
 //
@@ -8,13 +8,14 @@
 //     worker always has exactly one pending event, so the queue holds N
 //     entries in steady state) driven through the real EventSimulator for a
 //     fixed wall-clock budget per cell. The sorted vector pays an O(N)
-//     memmove per insert, the heap O(log N), the pairing heap O(1) insert
-//     with an amortized O(log N) pop, the calendar queue O(1); at 10^5+
-//     workers the frontier separates them by orders of magnitude.
+//     memmove per insert, the calendar queue O(1); at 10^5+ workers the
+//     frontier separates them by orders of magnitude.
 //  2. Queue x backend matrix — one real training experiment per
-//     {event queue, execution backend} pair, wall clock measured and results
-//     verified bit-identical across all twelve runs (the queue and the
-//     backend are real-machine choices only; virtual results never move).
+//     {event queue, thread count} pair: threads=1 runs the serial backend,
+//     a pooled run the speculative one. Wall clock is measured and results
+//     are verified bit-identical across all four runs (the queue and the
+//     thread count are real-machine choices only; virtual results never
+//     move).
 //  3. Hierarchical gossip at scale — 10^5+ workers on the
 //     clusters-of-clusters topology with the O(1)-memory hierarchical link
 //     model, each worker gossiping rounds to its neighbors through the
@@ -35,6 +36,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algos/registry.h"
@@ -42,7 +44,6 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/table.h"
-#include "core/execution_backend.h"
 #include "core/experiment.h"
 #include "net/cluster.h"
 #include "net/event_queue.h"
@@ -77,7 +78,7 @@ void TickStep(TickContext* ctx, int worker) {
 
 struct FrontierCell {
   int workers = 0;
-  net::EventQueueKind queue = net::EventQueueKind::kSortedVector;
+  net::EventQueueKind queue = net::EventQueueKind::kCalendar;
   int64_t events = 0;
   double wall_seconds = 0.0;
   double events_per_sec = 0.0;
@@ -125,8 +126,9 @@ FrontierCell MeasureQueueFrontier(int workers, net::EventQueueKind kind,
 // --- Panel 2: queue x backend matrix on a real experiment --------------------
 
 struct MatrixCell {
-  net::EventQueueKind queue = net::EventQueueKind::kSortedVector;
-  core::ExecutionBackendKind backend = core::ExecutionBackendKind::kSerial;
+  net::EventQueueKind queue = net::EventQueueKind::kCalendar;
+  int threads = 1;
+  std::string backend;
   double wall_seconds = 0.0;
   double virtual_seconds = 0.0;
   bool bit_identical = true;
@@ -145,30 +147,29 @@ void CheckBitIdentical(const std::string& label, const core::RunResult& a,
   NETMAX_CHECK_EQ(a.consensus_distance, b.consensus_distance) << label;
 }
 
+// Thread count of the matrix's pooled runs: --threads=N when given (N > 1),
+// otherwise one per hardware core, floored at 2 so the speculative backend
+// runs even on a single-core machine.
+int PooledThreads() {
+  if (bench::ThreadsOverride() > 1) return bench::ThreadsOverride();
+  return std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
 StatusOr<std::vector<MatrixCell>> RunQueueBackendMatrix(std::ostream& os) {
   core::ExperimentConfig config = bench::PaperBaseConfig();
-  config.max_epochs = 8;  // the matrix is 12 runs; keep full mode in minutes
+  config.max_epochs = 8;  // keep full mode in minutes
   bench::MaybeApplySmoke(config);
-  config.threads = 1;
   config.shards = 1;
   std::vector<MatrixCell> cells;
-  const core::RunResult* reference = nullptr;
   std::vector<core::RunResult> results;
-  results.reserve(12);
-  TablePrinter table({"queue", "backend", "wall_s", "virtual_s", "identical"});
+  TablePrinter table(
+      {"queue", "threads", "backend", "wall_s", "virtual_s", "identical"});
   for (const net::EventQueueKind queue :
-       {net::EventQueueKind::kSortedVector, net::EventQueueKind::kBinaryHeap,
-        net::EventQueueKind::kCalendar, net::EventQueueKind::kPairingHeap}) {
-    for (const core::ExecutionBackendKind backend :
-         {core::ExecutionBackendKind::kSerial,
-          core::ExecutionBackendKind::kSpeculative,
-          core::ExecutionBackendKind::kAsyncPipeline}) {
+       {net::EventQueueKind::kSortedVector, net::EventQueueKind::kCalendar}) {
+    for (const int threads : {1, PooledThreads()}) {
       core::ExperimentConfig cell_config = config;
       cell_config.event_queue = queue;
-      cell_config.backend = backend;
-      if (backend == core::ExecutionBackendKind::kAsyncPipeline) {
-        cell_config.reorder_window = 4;
-      }
+      cell_config.threads = threads;
       NETMAX_ASSIGN_OR_RETURN(const auto algorithm,
                               algos::MakeAlgorithm("netmax"));
       const auto start = Clock::now();
@@ -181,22 +182,22 @@ StatusOr<std::vector<MatrixCell>> RunQueueBackendMatrix(std::ostream& os) {
       }
       results.push_back(std::move(result.value()));
       const core::RunResult& run = results.back();
-      if (reference == nullptr) reference = &results.front();
       const std::string label = std::string(net::EventQueueKindName(queue)) +
-                                "/" + std::string(run.backend);
-      CheckBitIdentical(label, *reference, run);
+                                "/" + run.backend;
+      CheckBitIdentical(label, results.front(), run);
       MatrixCell cell;
       cell.queue = queue;
-      cell.backend = backend;
+      cell.threads = threads;
+      cell.backend = run.backend;
       cell.wall_seconds = wall;
       cell.virtual_seconds = run.total_virtual_seconds;
       cells.push_back(cell);
       table.AddRow({std::string(net::EventQueueKindName(queue)),
-                    std::string(run.backend), Fmt(wall, 3),
+                    std::to_string(threads), run.backend, Fmt(wall, 3),
                     Fmt(run.total_virtual_seconds, 1), "yes"});
     }
   }
-  os << "\n== Queue x backend matrix (netmax, 8 workers; all twelve runs "
+  os << "\n== Queue x backend matrix (netmax, 8 workers; all four runs "
         "verified bit-identical) ==\n";
   table.Print(os);
   table.PrintCsv(os, "Queue x backend matrix");
@@ -254,8 +255,7 @@ GossipResult RunHierarchicalGossip(int workers, int cluster_size, int rounds) {
       net::InterMachineLinkClass());
   out.build_seconds = SecondsSince(build_start);
   out.edges = topology.num_edges();
-  net::EventSimulator sim;
-  sim.ReplaceQueue(net::MakeEventQueue(net::EventQueueKind::kCalendar));
+  net::EventSimulator sim;  // calendar queue, the simulator's default
   GossipContext ctx;
   ctx.sim = &sim;
   ctx.topology = &topology;
@@ -289,6 +289,7 @@ std::string JsonReport(bool smoke, const std::vector<FrontierCell>& frontier,
   os << "{\n";
   os << "  \"bench\": \"bench_scale_frontier\",\n";
   os << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
+  os << "  \"num_cpus\": " << std::thread::hardware_concurrency() << ",\n";
   os << "  \"queue_frontier\": [\n";
   for (size_t i = 0; i < frontier.size(); ++i) {
     const FrontierCell& c = frontier[i];
@@ -303,9 +304,8 @@ std::string JsonReport(bool smoke, const std::vector<FrontierCell>& frontier,
   for (size_t i = 0; i < matrix.size(); ++i) {
     const MatrixCell& c = matrix[i];
     os << "    {\"queue\": \"" << net::EventQueueKindName(c.queue)
-       << "\", \"backend\": \""
-       << core::ExecutionBackendKindName(c.backend)
-       << "\", \"wall_seconds\": " << Fmt(c.wall_seconds, 3)
+       << "\", \"threads\": " << c.threads << ", \"backend\": \""
+       << c.backend << "\", \"wall_seconds\": " << Fmt(c.wall_seconds, 3)
        << ", \"virtual_seconds\": " << Fmt(c.virtual_seconds, 1)
        << ", \"bit_identical\": true}"
        << (i + 1 < matrix.size() ? "," : "") << "\n";
@@ -360,9 +360,8 @@ Status Run() {
       {"workers", "queue", "events", "wall_s", "events_per_sec"});
   for (const int workers : worker_grid) {
     for (const net::EventQueueKind kind :
-         {net::EventQueueKind::kSortedVector, net::EventQueueKind::kBinaryHeap,
-          net::EventQueueKind::kCalendar,
-          net::EventQueueKind::kPairingHeap}) {
+         {net::EventQueueKind::kSortedVector,
+          net::EventQueueKind::kCalendar}) {
       const FrontierCell cell =
           MeasureQueueFrontier(workers, kind, cell_budget);
       frontier.push_back(cell);

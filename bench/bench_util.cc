@@ -29,11 +29,6 @@ int BenchThreads() {
 bool smoke_mode = false;
 int threads_override = -1;
 int shards_override = -1;
-bool backend_override_set = false;
-core::ExecutionBackendKind backend_override =
-    core::ExecutionBackendKind::kSpeculative;
-int reorder_window_override = -1;
-int procs_override = -1;
 double checkpoint_at_override = 0.0;
 double checkpoint_every_override = 0.0;
 std::string checkpoint_path_override;
@@ -46,9 +41,8 @@ uint64_t faults_seed = 0;
 net::FaultSchedule faults_override;
 bool peer_policy_override_set = false;
 core::PeerPolicy peer_policy_override = core::PeerPolicy::kWait;
-bool adaptive_window_override = false;
 bool event_queue_override_set = false;
-net::EventQueueKind event_queue_override = net::EventQueueKind::kSortedVector;
+net::EventQueueKind event_queue_override = net::EventQueueKind::kCalendar;
 int workers_override = -1;
 bool topology_override_set = false;
 net::TopologySpec topology_override;
@@ -67,24 +61,38 @@ constexpr int kSeedFaultCount = 4;
 // --checkpoint-path pass wrote.
 int run_batch_counter = 0;
 
+// Options that selected execution strategies since deleted. The backend now
+// follows from the thread count, so a stale script passing one of these is
+// refused rather than silently measuring the default.
+struct RemovedOption {
+  const char* flag;
+  const char* env;
+};
+constexpr RemovedOption kRemovedOptions[] = {
+    {"--backend", "NETMAX_BACKEND"},
+    {"--reorder-window", "NETMAX_REORDER_WINDOW"},
+    {"--adaptive-window", "NETMAX_ADAPTIVE_WINDOW"},
+    {"--procs", "NETMAX_PROCS"},
+};
+
+Status RemovedOptionError(std::string_view name) {
+  return InvalidArgumentError(
+      std::string(name) +
+      " was removed: the execution backend follows from --threads "
+      "(1 = serial, more = speculative)");
+}
+
 void PrintUsage(std::ostream& os, const char* binary) {
   os << "usage: " << binary
-     << " [--smoke] [--threads=N] [--shards=N] [--backend=K]"
-        " [--reorder-window=N]\n"
+     << " [--smoke] [--threads=N] [--shards=N]\n"
         "       [--checkpoint-at=S --checkpoint-path=P] [--restore-path=P]\n"
-        "       [--faults=SPEC] [--peer-policy=P] [--checkpoint-every=S]"
-        " [--adaptive-window]\n"
+        "       [--faults=SPEC] [--peer-policy=P] [--checkpoint-every=S]\n"
      << "  --smoke              reduced iterations / corpus (CI smoke run)\n"
      << "  --threads=N          per-run simulation threads (0 = one per "
-        "core, 1 = serial; results are bit-identical)\n"
+        "core, 1 = serial dispatch, more = speculative; results are "
+        "bit-identical)\n"
      << "  --shards=N           intra-worker gradient shard tasks (0 = auto "
         "from the thread budget; results are bit-identical)\n"
-     << "  --backend=K          execution backend: serial | speculative | "
-        "async | process (results are bit-identical)\n"
-     << "  --reorder-window=N   async backend in-flight compute bound "
-        "(0 = synchronous; results are bit-identical)\n"
-     << "  --procs=N            process backend's forked gradient-compute "
-        "children (0 = one per core; results are bit-identical)\n"
      << "  --checkpoint-at=S    write a checkpoint S virtual seconds into "
         "every run (requires --checkpoint-path)\n"
      << "  --checkpoint-path=P  checkpoint file prefix; each run writes "
@@ -101,28 +109,22 @@ void PrintUsage(std::ostream& os, const char* binary) {
         "re-probe) or timeout (degrade after the deadline and continue)\n"
      << "  --checkpoint-every=S rewrite each run's checkpoint every S "
         "virtual seconds (rotating history; requires --checkpoint-path)\n"
-     << "  --adaptive-window    async backend re-sizes its reorder window "
-        "at runtime (results are bit-identical)\n"
-     << "  --event-queue=K      simulator event-queue backend: vector | heap "
-        "| calendar (results are bit-identical)\n"
+     << "  --event-queue=K      simulator event queue: calendar (default) | "
+        "vector (ordering reference; results are bit-identical)\n"
      << "  --workers=N          simulated worker count (N >= 2; overrides "
         "every run's num_workers)\n"
      << "  --topology=SPEC      gossip topology: complete or "
         "hier:<cluster_size> (clusters-of-clusters)\n"
      << "  --compress=SPEC      gradient compression: none | topk:<frac> | "
         "int8 | layerwise:<period> (results are bit-identical across "
-        "backends)\n"
+        "thread counts)\n"
      << "environment overrides (a flag beats its variable):\n"
      << "  NETMAX_SMOKE=1            same as --smoke\n"
      << "  NETMAX_THREADS=N          same as --threads=N\n"
      << "  NETMAX_SHARDS=N           same as --shards=N\n"
-     << "  NETMAX_BACKEND=K          same as --backend=K\n"
-     << "  NETMAX_REORDER_WINDOW=N   same as --reorder-window=N\n"
-     << "  NETMAX_PROCS=N            same as --procs=N\n"
      << "  NETMAX_FAULTS=SPEC        same as --faults=SPEC\n"
      << "  NETMAX_PEER_POLICY=P      same as --peer-policy=P\n"
      << "  NETMAX_CHECKPOINT_EVERY=S same as --checkpoint-every=S\n"
-     << "  NETMAX_ADAPTIVE_WINDOW=1  same as --adaptive-window\n"
      << "  NETMAX_EVENT_QUEUE=K      same as --event-queue=K\n"
      << "  NETMAX_WORKERS=N          same as --workers=N\n"
      << "  NETMAX_TOPOLOGY=SPEC      same as --topology=SPEC\n"
@@ -139,19 +141,6 @@ StatusOr<int> ParseFlagValue(const std::string& flag_text,
                                 " (expected a non-negative integer)");
   }
   return parsed;
-}
-
-// Strict value parse for "--backend=K" and NETMAX_BACKEND: anything but a
-// known backend name is a usage error.
-StatusOr<core::ExecutionBackendKind> ParseBackend(const std::string& flag_text,
-                                                  std::string_view value) {
-  core::ExecutionBackendKind kind;
-  if (!core::ParseExecutionBackendKind(value, &kind)) {
-    return InvalidArgumentError(
-        "bad flag value: " + flag_text +
-        " (expected serial, speculative, async, or process)");
-  }
-  return kind;
 }
 
 // Strict value parse for "--checkpoint-at=S": a non-negative decimal number
@@ -215,8 +204,7 @@ Status ParseEventQueueFlag(const std::string& flag_text,
   StatusOr<net::EventQueueKind> kind = net::ParseEventQueueKind(value);
   if (!kind.ok()) {
     return InvalidArgumentError("bad flag value: " + flag_text +
-                                " (expected vector, heap, calendar, or "
-                                "pairing)");
+                                " (expected vector or calendar)");
   }
   event_queue_override = *kind;
   event_queue_override_set = true;
@@ -278,11 +266,6 @@ void ApplyExecutionOverrides(core::ExperimentConfig& config,
     config.threads = PerRunThreads(concurrent_runs);
   }
   if (shards_override >= 0) config.shards = shards_override;
-  if (backend_override_set) config.backend = backend_override;
-  if (reorder_window_override >= 0) {
-    config.reorder_window = reorder_window_override;
-  }
-  if (procs_override >= 0) config.procs = procs_override;
   if (event_queue_override_set) config.event_queue = event_queue_override;
   if (topology_override_set) config.topology = topology_override;
   // The worker override must land before a seed-derived fault schedule is
@@ -297,7 +280,6 @@ void ApplyExecutionOverrides(core::ExperimentConfig& config,
             : faults_override;
   }
   if (peer_policy_override_set) config.peer_policy = peer_policy_override;
-  if (adaptive_window_override) config.adaptive_reorder_window = true;
   if (compress_override_set) config.compress = compress_override;
 }
 
@@ -347,9 +329,6 @@ StatusOr<bool> InitBench(int argc, char** argv) {
   smoke_mode = false;
   threads_override = -1;
   shards_override = -1;
-  backend_override_set = false;
-  reorder_window_override = -1;
-  procs_override = -1;
   checkpoint_at_override = 0.0;
   checkpoint_every_override = 0.0;
   checkpoint_path_override.clear();
@@ -359,9 +338,8 @@ StatusOr<bool> InitBench(int argc, char** argv) {
   faults_seed = 0;
   faults_override = net::FaultSchedule();
   peer_policy_override_set = false;
-  adaptive_window_override = false;
   event_queue_override_set = false;
-  event_queue_override = net::EventQueueKind::kSortedVector;
+  event_queue_override = net::EventQueueKind::kCalendar;
   workers_override = -1;
   topology_override_set = false;
   topology_override = net::TopologySpec();
@@ -370,9 +348,10 @@ StatusOr<bool> InitBench(int argc, char** argv) {
   run_batch_counter = 0;
   const char* env = std::getenv("NETMAX_SMOKE");
   if (env != nullptr && std::strcmp(env, "1") == 0) smoke_mode = true;
-  const char* env_adaptive = std::getenv("NETMAX_ADAPTIVE_WINDOW");
-  if (env_adaptive != nullptr && std::strcmp(env_adaptive, "1") == 0) {
-    adaptive_window_override = true;
+  for (const RemovedOption& removed : kRemovedOptions) {
+    if (std::getenv(removed.env) != nullptr) {
+      return RemovedOptionError(removed.env);
+    }
   }
   const char* env_threads = std::getenv("NETMAX_THREADS");
   if (env_threads != nullptr) {
@@ -387,27 +366,6 @@ StatusOr<bool> InitBench(int argc, char** argv) {
         shards_override,
         ParseFlagValue(std::string("NETMAX_SHARDS=") + env_shards,
                        env_shards));
-  }
-  const char* env_backend = std::getenv("NETMAX_BACKEND");
-  if (env_backend != nullptr) {
-    NETMAX_ASSIGN_OR_RETURN(
-        backend_override,
-        ParseBackend(std::string("NETMAX_BACKEND=") + env_backend,
-                     env_backend));
-    backend_override_set = true;
-  }
-  const char* env_window = std::getenv("NETMAX_REORDER_WINDOW");
-  if (env_window != nullptr) {
-    NETMAX_ASSIGN_OR_RETURN(
-        reorder_window_override,
-        ParseFlagValue(std::string("NETMAX_REORDER_WINDOW=") + env_window,
-                       env_window));
-  }
-  const char* env_procs = std::getenv("NETMAX_PROCS");
-  if (env_procs != nullptr) {
-    NETMAX_ASSIGN_OR_RETURN(
-        procs_override,
-        ParseFlagValue(std::string("NETMAX_PROCS=") + env_procs, env_procs));
   }
   const char* env_faults = std::getenv("NETMAX_FAULTS");
   if (env_faults != nullptr) {
@@ -448,6 +406,11 @@ StatusOr<bool> InitBench(int argc, char** argv) {
   }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const std::string_view name =
+        std::string_view(arg).substr(0, arg.find('='));
+    for (const RemovedOption& removed : kRemovedOptions) {
+      if (name == removed.flag) return RemovedOptionError(removed.flag);
+    }
     if (arg == "--smoke") {
       smoke_mode = true;
     } else if (arg.rfind("--threads=", 0) == 0) {
@@ -458,19 +421,6 @@ StatusOr<bool> InitBench(int argc, char** argv) {
       NETMAX_ASSIGN_OR_RETURN(
           shards_override,
           ParseFlagValue(arg, std::string_view(arg).substr(9)));
-    } else if (arg.rfind("--backend=", 0) == 0) {
-      NETMAX_ASSIGN_OR_RETURN(
-          backend_override,
-          ParseBackend(arg, std::string_view(arg).substr(10)));
-      backend_override_set = true;
-    } else if (arg.rfind("--reorder-window=", 0) == 0) {
-      NETMAX_ASSIGN_OR_RETURN(
-          reorder_window_override,
-          ParseFlagValue(arg, std::string_view(arg).substr(17)));
-    } else if (arg.rfind("--procs=", 0) == 0) {
-      NETMAX_ASSIGN_OR_RETURN(
-          procs_override,
-          ParseFlagValue(arg, std::string_view(arg).substr(8)));
     } else if (arg.rfind("--checkpoint-at=", 0) == 0) {
       NETMAX_ASSIGN_OR_RETURN(
           checkpoint_at_override,
@@ -489,8 +439,6 @@ StatusOr<bool> InitBench(int argc, char** argv) {
     } else if (arg.rfind("--peer-policy=", 0) == 0) {
       NETMAX_RETURN_IF_ERROR(
           ParsePeerPolicyFlag(arg, std::string_view(arg).substr(14)));
-    } else if (arg == "--adaptive-window") {
-      adaptive_window_override = true;
     } else if (arg.rfind("--event-queue=", 0) == 0) {
       NETMAX_RETURN_IF_ERROR(
           ParseEventQueueFlag(arg, std::string_view(arg).substr(14)));
@@ -542,10 +490,6 @@ bool SmokeMode() { return smoke_mode; }
 int ThreadsOverride() { return threads_override; }
 
 int ShardsOverride() { return shards_override; }
-
-int ReorderWindowOverride() { return reorder_window_override; }
-
-int ProcsOverride() { return procs_override; }
 
 int WorkersOverride() { return workers_override; }
 
@@ -702,30 +646,32 @@ double ConvergenceSeconds(const core::RunResult& result,
 void PrintSpeedups(std::ostream& os, const std::string& title,
                    const std::vector<NamedResult>& results) {
   NETMAX_CHECK(!results.empty());
-  // Two speedup readings: time to a common (late-descent) loss level, and —
-  // the headline number — total time to finish the fixed epoch budget. The
-  // paper trains every algorithm for a fixed epoch count and reads speedups
-  // off the loss-vs-time curves; with near-parity per-epoch convergence the
-  // equal-work ratio is the stable equivalent on these shortened runs, where
-  // a single curve crossing can swing threshold-based readings.
+  // Two speedup readings: time to a common (late-descent) loss level
+  // (loss_speedup), and — the headline number — total time to finish the
+  // fixed epoch budget (netmax_speedup). The paper trains every algorithm
+  // for a fixed epoch count and reads speedups off the loss-vs-time curves;
+  // with near-parity per-epoch convergence the equal-work ratio is the
+  // stable equivalent on these shortened runs, where a single curve
+  // crossing can swing threshold-based readings.
   const double threshold = CommonLossThreshold(results);
   const double ref_loss_time =
       ConvergenceSeconds(results.back().result, threshold);
   const double ref_total = results.back().result.total_virtual_seconds;
   TablePrinter table({"algorithm", "time_to_loss_s", "total_time_s",
-                      "netmax_speedup"});
+                      "loss_speedup", "netmax_speedup"});
   for (const NamedResult& entry : results) {
     const double seconds = ConvergenceSeconds(entry.result, threshold);
-    (void)ref_loss_time;
     table.AddRow({entry.name, Fmt(seconds, 1),
                   Fmt(entry.result.total_virtual_seconds, 1),
+                  Fmt(ref_loss_time > 0.0 ? seconds / ref_loss_time : 0.0, 2),
                   Fmt(ref_total > 0.0
                           ? entry.result.total_virtual_seconds / ref_total
                           : 0.0,
                       2)});
   }
   os << "\n== " << title << " (loss threshold " << Fmt(threshold, 3)
-     << "; speedup = equal-work total time vs NetMax) ==\n";
+     << "; loss_speedup = time to that loss vs NetMax; netmax_speedup = "
+        "equal-work total time vs NetMax) ==\n";
   table.Print(os);
   table.PrintCsv(os, title);
 }
@@ -747,14 +693,14 @@ void PrintEpochCostSplit(std::ostream& os, const std::string& title,
 
 void PrintExecutionDiagnostics(std::ostream& os,
                                const std::vector<NamedResult>& results) {
-  // Fault and adaptive-window columns appear only when some run has activity
-  // to report: fault-free batches keep the exact pre-fault table shape, so
-  // scripts diffing a bench's stderr across revisions see no churn.
+  // Fault columns appear only when some run has activity to report:
+  // fault-free batches keep the exact pre-fault table shape, so scripts
+  // diffing a bench's stderr across revisions see no churn.
   bool any_faults = false;
   for (const NamedResult& entry : results) {
     const core::RunResult& r = entry.result;
-    if (r.window_resizes != 0 || r.faults_injected != 0 ||
-        r.rounds_degraded != 0 || r.peers_timed_out != 0) {
+    if (r.faults_injected != 0 || r.rounds_degraded != 0 ||
+        r.peers_timed_out != 0) {
       any_faults = true;
       break;
     }
@@ -770,27 +716,11 @@ void PrintExecutionDiagnostics(std::ostream& os,
       break;
     }
   }
-  // Process-backend columns likewise appear only when some run forked
-  // children that died or had leaf ranges re-dispatched — healthy process
-  // runs (and the thread backends, always) keep the pre-process table shape.
-  bool any_process = false;
-  for (const NamedResult& entry : results) {
-    if (entry.result.process_child_deaths != 0 ||
-        entry.result.process_ranges_redispatched != 0) {
-      any_process = true;
-      break;
-    }
-  }
   std::vector<std::string> header = {"run",          "backend",
                                      "batches",      "speculated",
-                                     "redispatched", "recomputed",
-                                     "stalls",       "backpressure"};
-  if (any_process) {
-    header.insert(header.end(), {"child_deaths", "ranges_redisp"});
-  }
+                                     "redispatched", "recomputed"};
   if (any_faults) {
-    header.insert(header.end(),
-                  {"resizes", "faults", "degraded", "timeouts"});
+    header.insert(header.end(), {"faults", "degraded", "timeouts"});
   }
   if (any_bytes) {
     header.insert(header.end(), {"messages", "bytes_sent", "bytes_saved"});
@@ -803,17 +733,9 @@ void PrintExecutionDiagnostics(std::ostream& os,
                                     std::to_string(r.parallel_batches),
                                     std::to_string(r.computes_speculated),
                                     std::to_string(r.computes_redispatched),
-                                    std::to_string(r.computes_recomputed),
-                                    std::to_string(r.window_stalls),
-                                    std::to_string(r.window_backpressure)};
-    if (any_process) {
-      row.insert(row.end(),
-                 {std::to_string(r.process_child_deaths),
-                  std::to_string(r.process_ranges_redispatched)});
-    }
+                                    std::to_string(r.computes_recomputed)};
     if (any_faults) {
-      row.insert(row.end(), {std::to_string(r.window_resizes),
-                             std::to_string(r.faults_injected),
+      row.insert(row.end(), {std::to_string(r.faults_injected),
                              std::to_string(r.rounds_degraded),
                              std::to_string(r.peers_timed_out)});
     }

@@ -27,21 +27,12 @@ namespace netmax::bench {
 //                        refinement) so the bench finishes in seconds; CI
 //                        runs benches this way.
 //   --threads=N          per-run simulation threads (overrides
-//                        ExperimentConfig::threads for every run; N=1 forces
-//                        the serial dispatch, results are bit-identical
-//                        either way).
+//                        ExperimentConfig::threads for every run; N=1 runs
+//                        the serial backend, N>1 the speculative one;
+//                        results are bit-identical either way).
 //   --shards=N           intra-worker gradient shard tasks (overrides
 //                        ExperimentConfig::shards; 0 = auto from the per-run
 //                        thread budget, results are bit-identical for any
-//                        value).
-//   --backend=K          execution backend: serial | speculative | async |
-//                        process (overrides ExperimentConfig::backend;
-//                        results are bit-identical for every backend).
-//   --reorder-window=N   async backend's in-flight compute bound (overrides
-//                        ExperimentConfig::reorder_window; 0 = synchronous).
-//   --procs=N            process backend's forked gradient-compute children
-//                        (overrides ExperimentConfig::procs; 0 = one per
-//                        hardware core; results are bit-identical for any
 //                        value).
 //   --checkpoint-at=S    arm a checkpoint S virtual seconds into every run
 //                        (overrides ExperimentConfig::checkpoint_at_seconds;
@@ -61,8 +52,8 @@ namespace netmax::bench {
 //                        "slow@2+6x4:w1;leave@4:w2;join@9:w2" — or "seed:K"
 //                        for a seed-derived churn/straggler mix
 //                        (FaultSchedule::FromSeed with the run's worker
-//                        count). Results stay bit-identical across backends,
-//                        threads, and shards for any schedule.
+//                        count). Results stay bit-identical across threads
+//                        and shards for any schedule.
 //   --peer-policy=P      how engines treat a dead or stalled peer: "wait"
 //                        (block and re-probe; the paper's synchronous
 //                        semantics) or "timeout" (degrade after
@@ -75,16 +66,11 @@ namespace netmax::bench {
 //                        crash-recovery workflow: a crash@T fault halts the
 //                        run, and --restore-path resumes from the newest
 //                        periodic checkpoint bit-identically.
-//   --adaptive-window    let the async backend re-size its reorder window at
-//                        runtime from stall/backpressure counters
-//                        (ExperimentConfig::adaptive_reorder_window; results
-//                        are bit-identical either way).
-//   --event-queue=K      simulator event-queue backend: vector | heap |
-//                        calendar | pairing (overrides
+//   --event-queue=K      simulator event queue: calendar (the default) or
+//                        vector, the ordering reference (overrides
 //                        ExperimentConfig::event_queue; pop order — and
-//                        therefore every result — is bit-identical for all
-//                        four; they differ only in real-machine cost, see
-//                        bench_scale_frontier).
+//                        therefore every result — is bit-identical for
+//                        both).
 //   --workers=N          simulated worker count (overrides
 //                        ExperimentConfig::num_workers; N >= 2). Applied
 //                        before a seed-derived --faults=seed:K schedule is
@@ -98,14 +84,18 @@ namespace netmax::bench {
 //                        "int8", or "layerwise:<period>" (overrides
 //                        ExperimentConfig::compress; see ml/compression.h).
 //                        Results for a given spec are bit-identical across
-//                        backends, threads, shards, and reorder windows.
+//                        threads and shards.
 // Every flag has a NETMAX_* environment fallback (see PrintUsage in
 // bench_util.cc for the single authoritative list); an explicit flag wins
-// over its environment variable.
+// over its environment variable. The removed --backend, --reorder-window,
+// --adaptive-window and --procs flags, and their NETMAX_BACKEND,
+// NETMAX_REORDER_WINDOW, NETMAX_ADAPTIVE_WINDOW and NETMAX_PROCS variables,
+// are refused with kInvalidArgument, so a stale script cannot silently
+// measure the default.
 //
 // Returns true to proceed, false when --help was printed (the caller should
 // exit 0), and kInvalidArgument — naming the offending flag — on an unknown
-// flag or a malformed value (--threads=4x, --backend=asink), so typos don't
+// flag or a malformed value (--threads=4x, --event-queue=heap), so typos don't
 // silently run the full bench on the wrong configuration. Never exits or
 // aborts; BenchMain below turns the outcome into the process exit code.
 StatusOr<bool> InitBench(int argc, char** argv);
@@ -125,15 +115,6 @@ int ThreadsOverride();
 
 // The --shards/NETMAX_SHARDS override, or -1 when unset.
 int ShardsOverride();
-
-// The --reorder-window/NETMAX_REORDER_WINDOW override, or -1 when unset.
-// (The --backend override has no accessor: benches that run experiments by
-// hand pin their backends per leg — bench_scale32 compares all three — and
-// RunAlgorithms/RunConfigs apply the override internally.)
-int ReorderWindowOverride();
-
-// The --procs/NETMAX_PROCS override, or -1 when unset.
-int ProcsOverride();
 
 // The --workers/NETMAX_WORKERS override, or -1 when unset.
 int WorkersOverride();
@@ -191,7 +172,9 @@ double ConvergenceSeconds(const core::RunResult& result,
                           double loss_threshold);
 
 // Prints time-to-threshold and the speedup of the *last* entry (NetMax by
-// convention) over every other entry — the paper's "3.7x over Prague" rows.
+// convention) over every other entry — the paper's "3.7x over Prague" rows —
+// read two ways: time to the common loss threshold (loss_speedup) and total
+// time for the equal epoch budget (netmax_speedup).
 void PrintSpeedups(std::ostream& os, const std::string& title,
                    const std::vector<NamedResult>& results);
 
@@ -200,20 +183,16 @@ void PrintEpochCostSplit(std::ostream& os, const std::string& title,
                          const std::vector<NamedResult>& results);
 
 // Prints the execution-backend health table for `results`: backend, frontier
-// or window batches, speculated / re-dispatched / inline-recomputed compute
-// halves, and the async window's stall/backpressure counters. When any run
-// reports fault or adaptive-window activity (window_resizes,
-// faults_injected, rounds_degraded, peers_timed_out), four extra columns
-// carry those counters; fault-free batches suppress the all-zero columns so
-// their stderr table keeps the exact pre-fault shape. Likewise, when any run
-// compressed its gradients (bytes_saved != 0), three extra columns report
-// messages / bytes_sent / bytes_saved; uncompressed batches suppress them so
-// existing benches' stderr tables are unchanged. RunAlgorithms and
-// RunConfigs emit this to stderr after every batch of runs (so speculation
-// health is visible without a Debug rebuild) — stderr, because the counters
-// vary with the {threads, backend} execution point while the benches' stdout
-// must stay byte-identical across all of them (the CI determinism lane
-// diffs it).
+// batches, and speculated / re-dispatched / inline-recomputed compute halves.
+// When any run reports fault activity (faults_injected, rounds_degraded,
+// peers_timed_out), three extra columns carry those counters; fault-free
+// batches suppress the all-zero columns. Likewise, when any run compressed
+// its gradients (bytes_saved != 0), three extra columns report messages /
+// bytes_sent / bytes_saved. RunAlgorithms and RunConfigs emit this to stderr
+// after every batch of runs (so speculation health is visible without a
+// Debug rebuild) — stderr, because the counters vary with the thread count
+// while the benches' stdout must stay byte-identical across thread counts
+// (the CI determinism lane diffs it).
 void PrintExecutionDiagnostics(std::ostream& os,
                                const std::vector<NamedResult>& results);
 

@@ -308,7 +308,7 @@ class AdPsgdEngine {
     }
     // Both endpoints' parameters are written below: notify before either
     // write so any evaluation the backend ran ahead (m's is usually
-    // window-resident or speculated) is invalidated and re-dispatched.
+    // speculated) is invalidated and re-dispatched.
     harness_.sim().NotifyStateWrite(w);
     harness_.sim().NotifyStateWrite(m);
     auto x_i = worker.model->parameters();

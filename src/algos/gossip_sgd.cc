@@ -108,8 +108,8 @@ class GossipEngine {
             return;
           }
           // Arrival writes the receiver's parameters — invalidate whatever
-          // the backend ran ahead for m (frontier speculation or async
-          // window entry; an in-flight evaluation is waited out first).
+          // the backend ran ahead for m (an in-flight evaluation is waited
+          // out first).
           harness_.sim().NotifyStateWrite(m);
           auto x_m = harness_.worker(m).model->parameters();
           if (!harness_.compression_enabled()) {

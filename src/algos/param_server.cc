@@ -469,7 +469,7 @@ class PsAsyncEngine {
         const int64_t round = static_cast<int64_t>(args[3]);
         rebuilt.plain = [this, w, t0, compute, round] {
           // The download overwrites w's replica. w's own next compute is
-          // only scheduled below, but OTHER workers' in-flight window
+          // only scheduled below, but OTHER workers' in-flight speculated
           // evaluations never read w's parameters, so notifying w alone
           // satisfies the write contract under every backend.
           harness_.sim().NotifyStateWrite(w);

@@ -290,9 +290,9 @@ class PragueEngine {
     const std::vector<double> mean = linalg::Mean(params);
     for (int w : group) {
       // Group members are idle (their next compute event is scheduled only in
-      // FinishGroupMember), so no backend — frontier or window — can hold an
-      // evaluation for them here; notify anyway: the write contract is cheap
-      // and engine-evolution-proof.
+      // FinishGroupMember), so no backend can hold an evaluation for them
+      // here; notify anyway: the write contract is cheap and
+      // engine-evolution-proof.
       harness_.sim().NotifyStateWrite(w);
       auto p = harness_.worker(w).model->parameters();
       if (!harness_.compression_enabled()) {

@@ -85,7 +85,8 @@ StatusOr<std::string> Deserializer::ReadString() {
 
 Status Deserializer::ReadDoubleVec(std::vector<double>* values) {
   NETMAX_ASSIGN_OR_RETURN(const uint64_t size, ReadU64());
-  if (size * 8 > remaining()) return OutOfRangeError("truncated double vec");
+  // Division form: `size * 8` wraps for size >= 2^61 and would pass.
+  if (size > remaining() / 8) return OutOfRangeError("truncated double vec");
   values->clear();
   values->reserve(size);
   for (uint64_t i = 0; i < size; ++i) {
@@ -97,7 +98,7 @@ Status Deserializer::ReadDoubleVec(std::vector<double>* values) {
 
 Status Deserializer::ReadIntVec(std::vector<int>* values) {
   NETMAX_ASSIGN_OR_RETURN(const uint64_t size, ReadU64());
-  if (size * 8 > remaining()) return OutOfRangeError("truncated int vec");
+  if (size > remaining() / 8) return OutOfRangeError("truncated int vec");
   values->clear();
   values->reserve(size);
   for (uint64_t i = 0; i < size; ++i) {

@@ -114,7 +114,7 @@ void SaveSeries(Serializer& out, const ml::Series& series) {
 
 Status LoadSeries(Deserializer& in, ml::Series* series) {
   NETMAX_ASSIGN_OR_RETURN(const uint64_t size, in.ReadU64());
-  if (size * 16 > in.remaining()) {
+  if (size > in.remaining() / 16) {  // overflow-safe: size * 16 may wrap
     return OutOfRangeError("checkpointed series is truncated");
   }
   series->clear();

@@ -1,12 +1,9 @@
 #include "core/execution_backend.h"
 
 #include <algorithm>
-#include <chrono>
-#include <functional>
 #include <utility>
 
 #include "common/thread_pool.h"
-#include "core/process_backend.h"
 
 namespace netmax::core {
 namespace {
@@ -25,73 +22,11 @@ int64_t FrontierCap(const ThreadPool& pool) {
   return 4 * (static_cast<int64_t>(pool.num_threads()) + 1);
 }
 
-// Sorts invalidated worker keys into (time, sequence) order of their events
-// so the pool starts the earliest-committing recompute first. Shared by both
-// pooled backends' FlushRedispatches — the re-dispatch protocol itself
-// (wait out the in-flight read in OnStateWrite, queue the key, resubmit here
-// after the handler) must stay in lockstep between them too.
-void SortKeysByEventOrder(
-    std::vector<int>& keys,
-    const std::function<std::pair<double, int64_t>(int)>& event_order) {
-  std::sort(keys.begin(), keys.end(), [&event_order](int a, int b) {
-    return event_order(a) < event_order(b);
-  });
-}
-
 }  // namespace
 
-bool ParseExecutionBackendKind(std::string_view text,
-                               ExecutionBackendKind* kind) {
-  if (text == "serial") {
-    *kind = ExecutionBackendKind::kSerial;
-    return true;
-  }
-  if (text == "speculative") {
-    *kind = ExecutionBackendKind::kSpeculative;
-    return true;
-  }
-  if (text == "async") {
-    *kind = ExecutionBackendKind::kAsyncPipeline;
-    return true;
-  }
-  if (text == "process") {
-    *kind = ExecutionBackendKind::kProcessPool;
-    return true;
-  }
-  return false;
-}
-
-std::string_view ExecutionBackendKindName(ExecutionBackendKind kind) {
-  switch (kind) {
-    case ExecutionBackendKind::kSerial:
-      return "serial";
-    case ExecutionBackendKind::kSpeculative:
-      return "speculative";
-    case ExecutionBackendKind::kAsyncPipeline:
-      return "async";
-    case ExecutionBackendKind::kProcessPool:
-      return "process";
-  }
-  return "unknown";
-}
-
-std::unique_ptr<ExecutionBackend> MakeExecutionBackend(
-    ExecutionBackendKind kind, ThreadPool* pool, int reorder_window,
-    bool adaptive_window) {
-  NETMAX_CHECK_GE(reorder_window, 0);
-  // The process backend never wants a thread pool (its parallelism is forked
-  // children), so it must NOT fall into the pool-less serial degrade below.
-  if (kind == ExecutionBackendKind::kProcessPool) {
-    return std::make_unique<ProcessPoolBackend>();
-  }
-  if (pool == nullptr || kind == ExecutionBackendKind::kSerial) {
-    return std::make_unique<SerialBackend>();
-  }
-  if (kind == ExecutionBackendKind::kSpeculative) {
-    return std::make_unique<SpeculativeBackend>(pool);
-  }
-  return std::make_unique<AsyncPipelineBackend>(pool, reorder_window,
-                                                adaptive_window);
+std::unique_ptr<ExecutionBackend> MakeExecutionBackend(ThreadPool* pool) {
+  if (pool == nullptr) return std::make_unique<SerialBackend>();
+  return std::make_unique<SpeculativeBackend>(pool);
 }
 
 // --- SerialBackend ----------------------------------------------------------
@@ -257,9 +192,12 @@ void SpeculativeBackend::FlushRedispatches() {
   if (pending_redispatch_keys_.empty()) return;
   std::vector<int> keys;
   keys.swap(pending_redispatch_keys_);
-  SortKeysByEventOrder(keys, [this](int key) {
-    const Speculation& speculation = inflight_.at(key);
-    return std::make_pair(speculation.time, speculation.sequence);
+  // Start the earliest-committing recompute first.
+  std::sort(keys.begin(), keys.end(), [this](int a, int b) {
+    const Speculation& first = inflight_.at(a);
+    const Speculation& second = inflight_.at(b);
+    return std::make_pair(first.time, first.sequence) <
+           std::make_pair(second.time, second.sequence);
   });
   for (const int key : keys) {
     const auto it = inflight_.find(key);
@@ -273,169 +211,6 @@ void SpeculativeBackend::FlushRedispatches() {
     ++stats_.computes_redispatched;
     redispatches_[key] = std::move(redispatch);
   }
-}
-
-// --- AsyncPipelineBackend ---------------------------------------------------
-
-AsyncPipelineBackend::AsyncPipelineBackend(ThreadPool* pool, int reorder_window,
-                                           bool adaptive_window)
-    : pool_(pool),
-      reorder_window_(reorder_window),
-      adaptive_window_(adaptive_window) {
-  NETMAX_CHECK(pool_ != nullptr) << "AsyncPipelineBackend needs a pool";
-  NETMAX_CHECK_GE(reorder_window_, 0);
-  // The adaptive controller needs a live pipeline to measure; a configured
-  // window of 0 (synchronous) starts at 1 instead.
-  if (adaptive_window_ && reorder_window_ < 1) reorder_window_ = 1;
-  if (reorder_window_ > kMaxAdaptiveWindow && adaptive_window_) {
-    reorder_window_ = kMaxAdaptiveWindow;
-  }
-}
-
-void AsyncPipelineBackend::Submit(Entry& entry) {
-  // The pooled task writes into the heap-stable Entry; `done` publishes the
-  // write to the simulator thread.
-  std::packaged_task<void()> task([&entry] { entry.value = entry.compute(); });
-  entry.done = pool_->Submit(std::move(task));
-}
-
-void AsyncPipelineBackend::Dispatch(EventSimulator& sim) {
-  if (reorder_window_ <= 0) return;  // synchronous: every compute runs inline
-  // Admit pending compute halves into the window in (time, sequence) order.
-  // A key already resident is skipped — its later same-key events must
-  // observe the resident event's commit — but the scan continues past it, so
-  // one busy worker never blocks the pipeline for the others.
-  int64_t admitted = 0;
-  sim.ScanPendingComputes(
-      kMaxScannedEvents,
-      [&](const EventSimulator::PendingComputeView& view) {
-        if (window_.find(view.worker_key) != window_.end()) {
-          return EventSimulator::ScanAction::kContinue;
-        }
-        if (static_cast<int>(window_.size()) >= reorder_window_) {
-          ++stats_.window_backpressure;  // runnable work held back: full
-          return EventSimulator::ScanAction::kStop;
-        }
-        auto entry = std::make_unique<Entry>();
-        entry->sequence = view.sequence;
-        entry->worker_key = view.worker_key;
-        entry->time = view.time;
-        entry->compute = view.compute;
-        Submit(*entry);
-        window_.emplace(view.worker_key, std::move(entry));
-        ++stats_.computes_speculated;
-        ++admitted;
-        return EventSimulator::ScanAction::kContinue;
-      });
-  if (admitted > 0 && window_.size() >= 2) ++stats_.parallel_batches;
-  if (adaptive_window_) MaybeAdaptWindow();
-}
-
-void AsyncPipelineBackend::MaybeAdaptWindow() {
-  // Re-size at a coarse cadence so each decision sees a meaningful sample of
-  // the straggler behaviour, not one noisy dispatch.
-  constexpr int64_t kAdaptPeriod = 64;
-  if (++adapt_dispatches_ < kAdaptPeriod) return;
-  adapt_dispatches_ = 0;
-  const int64_t backpressure =
-      stats_.window_backpressure - adapt_baseline_.window_backpressure;
-  const int64_t stalls = stats_.window_stalls - adapt_baseline_.window_stalls;
-  const int64_t redispatched =
-      stats_.computes_redispatched - adapt_baseline_.computes_redispatched;
-  adapt_baseline_ = stats_;
-  // Backpressure means runnable work sat behind a full window: grow. Stalls
-  // and invalidation re-dispatches mean speculation ran ahead of what the
-  // commit stream could consume: shrink. Window size never affects result
-  // bits (the backend invariant), so this chases throughput only.
-  if (backpressure > stalls + redispatched &&
-      reorder_window_ < kMaxAdaptiveWindow) {
-    ++reorder_window_;
-    ++stats_.window_resizes;
-  } else if (stalls + redispatched > backpressure && reorder_window_ > 1) {
-    --reorder_window_;
-    ++stats_.window_resizes;
-  }
-}
-
-int64_t AsyncPipelineBackend::DrainCommits(EventSimulator& sim) {
-  const EventSimulator::SpeculationProvider provider =
-      [this](int64_t sequence, int worker_key, double* value) {
-        const auto it = window_.find(worker_key);
-        if (it == window_.end()) return false;  // not resident: run inline
-        if (it->second->sequence != sequence) {
-          // A different same-key event is resident — only possible when two
-          // same-key computes were pending at once, which engines never do
-          // (one outstanding compute per worker). Defensive: finish the
-          // resident evaluation before this event's inline compute can race
-          // its scratch writes; its value stays usable because any commit
-          // that writes the key must notify (invalidating it) anyway.
-          it->second->done.wait();
-          return false;
-        }
-        Entry& entry = *it->second;
-        // The head of the window is the only compute the drain ever waits
-        // for — later in-flight entries keep running while this commit (and
-        // everything it schedules) applies.
-        if (entry.done.wait_for(std::chrono::seconds(0)) !=
-            std::future_status::ready) {
-          ++stats_.window_stalls;
-        }
-        entry.done.wait();
-        const bool provided = !entry.invalidated;
-        if (!provided) ++stats_.computes_recomputed;  // defensive fallback
-        if (provided) *value = entry.value;
-        window_.erase(it);
-        return provided;
-      };
-  const bool stepped = sim.StepWith(provider);
-  // Handlers queue invalidated keys; re-dispatch them now that the handler's
-  // writes are complete, so the recompute reads post-write state.
-  FlushRedispatches();
-  return stepped ? 1 : 0;
-}
-
-void AsyncPipelineBackend::OnStateWrite(EventSimulator& /*sim*/,
-                                        int worker_key) {
-  const auto it = window_.find(worker_key);
-  if (it == window_.end() || it->second->invalidated) return;
-  // Unlike the speculative backend's barrier, a window-resident evaluation
-  // may still be RUNNING when a handler writes its state: finish it before
-  // the caller's write can race its reads, then discard the stale value by
-  // queueing a re-dispatch (flushed after the handler returns).
-  it->second->done.wait();
-  it->second->invalidated = true;
-  pending_redispatch_keys_.push_back(worker_key);
-}
-
-void AsyncPipelineBackend::FlushRedispatches() {
-  if (pending_redispatch_keys_.empty()) return;
-  std::vector<int> keys;
-  keys.swap(pending_redispatch_keys_);
-  SortKeysByEventOrder(keys, [this](int key) {
-    const Entry& entry = *window_.at(key);
-    return std::make_pair(entry.time, entry.sequence);
-  });
-  for (const int key : keys) {
-    Entry& entry = *window_.at(key);
-    entry.invalidated = false;
-    Submit(entry);
-    ++stats_.computes_redispatched;
-  }
-}
-
-void AsyncPipelineBackend::OnIdle(EventSimulator& /*sim*/) {
-  NETMAX_CHECK(window_.empty()) << "window entry outlived its event";
-  NETMAX_CHECK(pending_redispatch_keys_.empty())
-      << "re-dispatch queued after the last handler";
-}
-
-void AsyncPipelineBackend::OnHalt(EventSimulator& /*sim*/) {
-  // Wait out every window-resident evaluation (their pooled tasks write into
-  // the Entry objects being destroyed here), then discard the window. None of
-  // it was committed, so the halted result is untouched.
-  for (auto& [key, entry] : window_) entry->done.wait();
-  window_.clear();
-  pending_redispatch_keys_.clear();
 }
 
 }  // namespace netmax::core

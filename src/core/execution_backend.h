@@ -1,36 +1,22 @@
 #ifndef NETMAX_CORE_EXECUTION_BACKEND_H_
 #define NETMAX_CORE_EXECUTION_BACKEND_H_
 
-// Concrete execution backends for the event simulator, plus the selection
-// plumbing (kind enum, flag parsing, factory) the experiment harness and the
-// benches share. The abstract net::ExecutionBackend interface is declared in
-// net/event_sim.h, beside the simulator it drives (the net layer cannot
-// depend on core); everything that picks or implements a strategy lives
-// here.
+// Concrete execution backends for the event simulator, plus the factory the
+// experiment harness uses. The abstract net::ExecutionBackend interface is
+// declared in net/event_sim.h, beside the simulator it drives (the net layer
+// cannot depend on core).
 //
-// Four strategies, all bit-identical to each other by the soundness
-// contract in net/event_sim.h:
+// Two strategies, bit-identical to each other by the soundness contract in
+// net/event_sim.h. Which one runs follows from the thread count alone:
 //
 //  * SerialBackend — every event runs inline at its turn on the simulator
-//    thread. The reference semantics; also what every other backend degrades
-//    to without a pool.
-//  * SpeculativeBackend — the PR 3/4 frontier machinery: collect the longest
-//    prefix of pending compute events with pairwise-distinct worker keys,
-//    evaluate them concurrently on the pool behind a barrier, then drain the
-//    whole batch in order. Invalidated speculations are re-dispatched onto
-//    the pool in a second pass instead of recomputing inline.
-//  * AsyncPipelineBackend — no barrier: compute halves stream through a
-//    bounded reorder window (`reorder_window` in-flight evaluations, 0 =
-//    synchronous). The commit drain waits only for the entry at the head of
-//    the window, never for the slowest in-flight compute; dispatch applies
-//    backpressure when the window fills, and NotifyStateWrite invalidation
-//    covers every window-resident evaluation (in-flight ones are waited out
-//    before the caller's write, then re-dispatched).
-//  * ProcessPoolBackend — fork + MAP_SHARED (core/process_backend.h):
-//    serial event semantics, but each batch-gradient compute half fans its
-//    leaf ranges out to forked child processes over shared memory. Built by
-//    the factory below like the others, but attached to its experiment by
-//    the harness (the fork must happen after the worker slab is final).
+//    thread. The reference semantics, and the backend of every run without
+//    a thread pool (threads == 1).
+//  * SpeculativeBackend — collect the longest prefix of pending compute
+//    events with pairwise-distinct worker keys, evaluate them concurrently
+//    on the pool behind a barrier, then drain the whole batch in order.
+//    Invalidated speculations are re-dispatched onto the pool in a second
+//    pass instead of recomputing inline. The backend of every pooled run.
 
 #include <cstdint>
 #include <future>
@@ -52,34 +38,10 @@ namespace netmax::core {
 using net::ExecutionBackend;
 using net::ExecutionStats;
 
-enum class ExecutionBackendKind {
-  kSerial,
-  kSpeculative,    // default: today's frontier speculation + re-dispatch
-  kAsyncPipeline,  // bounded-reorder-window commit pipeline
-  kProcessPool,    // fork + MAP_SHARED leaf waves (process_backend.h)
-};
-
-// Strict parse of a --backend / NETMAX_BACKEND value ("serial",
-// "speculative", "async", "process"); returns false on anything else,
-// leaving *kind untouched.
-bool ParseExecutionBackendKind(std::string_view text,
-                               ExecutionBackendKind* kind);
-
-// The flag spelling of `kind` (inverse of ParseExecutionBackendKind).
-std::string_view ExecutionBackendKindName(ExecutionBackendKind kind);
-
-// Builds the backend for one simulator run. `pool` is borrowed and must
-// outlive the backend; with a null pool the THREAD-pooled kinds degrade to
-// SerialBackend (there is nothing to overlap with) — kProcessPool does not:
-// its parallelism is forked processes, so it never wants a pool and is
-// returned un-attached (the harness calls ProcessPoolBackend::Attach once
-// the state the children must inherit is final). `reorder_window` is the
-// async backend's in-flight bound and `adaptive_window` lets the async
-// backend re-size that bound at runtime from its own stall/backpressure
-// counters; both are ignored by the other kinds.
-std::unique_ptr<ExecutionBackend> MakeExecutionBackend(
-    ExecutionBackendKind kind, ThreadPool* pool, int reorder_window,
-    bool adaptive_window = false);
+// Builds the backend for one simulator run: SpeculativeBackend over `pool`,
+// or SerialBackend when `pool` is null (there is nothing to overlap with).
+// `pool` is borrowed and must outlive the backend.
+std::unique_ptr<ExecutionBackend> MakeExecutionBackend(ThreadPool* pool);
 
 // Fully serial dispatch: Dispatch is a no-op and every compute half runs
 // inline at its turn. Stats stay zero.
@@ -91,7 +53,7 @@ class SerialBackend : public ExecutionBackend {
   void OnStateWrite(net::EventSimulator& sim, int worker_key) override;
 };
 
-// Frontier speculation with a barrier (the PR 3/4 machinery): at most one
+// Frontier speculation with a barrier: at most one
 // compute half per distinct worker key joins a parallel batch, the batch is
 // evaluated to completion on the pool, then drained in order. A same-key
 // duplicate ends the frontier scan, so adversarial interleavings degrade to
@@ -145,77 +107,6 @@ class SpeculativeBackend : public ExecutionBackend {
   // after it returns) and the in-flight re-dispatches by key.
   std::vector<int> pending_redispatch_keys_;
   std::unordered_map<int, std::unique_ptr<Redispatch>> redispatches_;
-};
-
-// Bounded-reorder commit pipeline: up to `reorder_window` compute halves are
-// in flight on the pool at once, entering in (time, sequence) order and
-// leaving at their commit. There is no batch barrier — the drain waits only
-// for the head entry's own future, so one slow compute never stalls the
-// commits (or re-dispatches) of everything behind it; it only occupies one
-// window slot. reorder_window == 0 means synchronous: nothing is dispatched
-// ahead and every compute runs inline, which makes the backend equivalent to
-// SerialBackend while keeping its name and counters.
-//
-// With `adaptive_window` set, the backend consumes its own diagnostics to
-// auto-size the window under straggler load: sustained backpressure (runnable
-// work held back by a full window) grows it, sustained head-of-window stalls
-// or invalidation re-dispatches (speculation running ahead of what the commit
-// stream can use) shrink it, within [1, kMaxAdaptiveWindow]. The window size
-// never affects simulation output — that is the backend bit-identity
-// invariant — so the controller is free to chase real-machine throughput.
-class AsyncPipelineBackend : public ExecutionBackend {
- public:
-  AsyncPipelineBackend(ThreadPool* pool, int reorder_window,
-                       bool adaptive_window = false);
-
-  // Upper bound the adaptive controller may grow the window to.
-  static constexpr int kMaxAdaptiveWindow = 64;
-
-  std::string_view name() const override { return "async"; }
-  int reorder_window() const { return reorder_window_; }
-  bool adaptive_window() const { return adaptive_window_; }
-  void Dispatch(net::EventSimulator& sim) override;
-  int64_t DrainCommits(net::EventSimulator& sim) override;
-  void OnStateWrite(net::EventSimulator& sim, int worker_key) override;
-
- protected:
-  void OnIdle(net::EventSimulator& sim) override;
-  void OnHalt(net::EventSimulator& sim) override;
-
- private:
-  // One window-resident evaluation. Heap-allocated so the pooled task's
-  // writes target a stable address while the map rehashes; `done` orders the
-  // task's `value` write before any read (and before any state write by an
-  // invalidator).
-  struct Entry {
-    int64_t sequence = 0;
-    int worker_key = -1;
-    double time = 0.0;
-    net::EventSimulator::ComputeFn compute;  // copy, safe off-thread
-    double value = 0.0;
-    bool invalidated = false;  // awaiting re-dispatch after the handler
-    std::future<void> done;
-  };
-
-  void Submit(Entry& entry);
-  void FlushRedispatches();
-  // Adaptive controller step, run once per kAdaptPeriod dispatches: compares
-  // the counter deltas accumulated since the last step and re-sizes the
-  // window.
-  void MaybeAdaptWindow();
-
-  ThreadPool* pool_;
-  int reorder_window_;
-  const bool adaptive_window_;
-  // Adaptive controller state: dispatch calls since the last adaptation and
-  // the counter values it last saw.
-  int64_t adapt_dispatches_ = 0;
-  ExecutionStats adapt_baseline_;
-  // Window entries by worker key: at most one in-flight evaluation per key
-  // (a same-key duplicate is skipped by the dispatch scan, preserving the
-  // chained-commit order), at most reorder_window_ entries total.
-  std::unordered_map<int, std::unique_ptr<Entry>> window_;
-  std::vector<int> pending_redispatch_keys_;
 };
 
 }  // namespace netmax::core

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <thread>
 
-#include "core/process_backend.h"
+#include "core/execution_backend.h"
 #include "linalg/vector_ops.h"
 #include "ml/mlp.h"
 #include "ml/sharding.h"
@@ -110,10 +110,6 @@ Status ExperimentConfig::Validate() const {
   }
   if (threads < 0) return InvalidArgumentError("threads < 0");
   if (shards < 0) return InvalidArgumentError("shards < 0");
-  if (reorder_window < 0) {
-    return InvalidArgumentError("reorder_window < 0");
-  }
-  if (procs < 0) return InvalidArgumentError("procs < 0");
   if (checkpoint_at_seconds > 0.0 && checkpoint_path.empty() &&
       checkpoint_sink == nullptr) {
     return InvalidArgumentError(
@@ -166,19 +162,11 @@ Status ExperimentHarness::Init() {
     const unsigned hw = std::thread::hardware_concurrency();
     threads_ = hw == 0 ? 1 : static_cast<int>(hw);
   }
-  // The process backend replaces the thread pool with forked children: fork
-  // from a multi-threaded parent only copies the forking thread, so a child
-  // inheriting live pool threads would see their mutexes frozen mid-flight.
-  // Forcing threads to 1 keeps the parent single-threaded for the fork —
-  // results are unchanged either way (threads never affect bits).
-  if (config_.backend == ExecutionBackendKind::kProcessPool) threads_ = 1;
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_ - 1);
   // Execution backend: how compute halves overlap the ordered commit drain.
-  // Without a pool every kind degrades to serial dispatch; either way the
-  // result bits are identical (core/execution_backend.h).
-  backend_ = MakeExecutionBackend(config_.backend, pool_.get(),
-                                  config_.reorder_window,
-                                  config_.adaptive_reorder_window);
+  // Speculative with a pool, serial without; either way the result bits are
+  // identical (core/execution_backend.h).
+  backend_ = MakeExecutionBackend(pool_.get());
   sim_.set_backend(backend_.get());
   // Event-queue implementation (net/event_queue.h): like the backend, a pure
   // execution choice — every kind pops the identical (time, sequence) stream.
@@ -330,37 +318,6 @@ Status ExperimentHarness::Init() {
   compute_factor_.assign(static_cast<size_t>(config_.num_workers), 1.0);
   if (!config_.faults.empty() && !restore_requested()) ScheduleFaults();
 
-  // Process backend: fork the gradient-compute children LAST, so they inherit
-  // the finished worker slab (models, shards, workspaces) via copy-on-write.
-  // The eval callback runs inside a child (or inline in the parent under the
-  // sanitizer/inline mode): it loads the wave's parameter snapshot from
-  // shared memory into the inherited model — the child's copy went stale the
-  // moment the parent committed an optimizer step — and evaluates the leaf
-  // range with the model's own fixed-leaf kernel, writing unscaled sums
-  // straight into the shared-memory slots.
-  if (config_.backend == ExecutionBackendKind::kProcessPool) {
-    auto* process = static_cast<ProcessPoolBackend*>(backend_.get());
-    ProcessPoolOptions options;
-    options.procs = config_.procs;
-    options.width = workers_.front().model->num_parameters();
-    for (const WorkerRuntime& worker : workers_) {
-      options.max_batch = std::max(options.max_batch, worker.batch_size);
-    }
-    NETMAX_RETURN_IF_ERROR(process->Attach(
-        options,
-        [this](int w, std::span<const double> params,
-               std::span<const int> indices, int leaf_lo, int leaf_hi,
-               std::span<double> loss_sums, std::span<double> gradient_sums) {
-          WorkerRuntime& worker = workers_[static_cast<size_t>(w)];
-          const std::span<double> dest = worker.model->parameters();
-          std::copy(params.begin(), params.end(), dest.begin());
-          worker.model->EvalGradientLeaves(worker.shard, indices, leaf_lo,
-                                           leaf_hi, loss_sums, gradient_sums,
-                                           worker.workspace);
-        }));
-    process_backend_ = process;
-  }
-
   initialized_ = true;
   return Status::Ok();
 }
@@ -450,11 +407,6 @@ void ExperimentHarness::SampleBatch(int w) {
 
 double ExperimentHarness::EvalBatchGradient(int w) {
   WorkerRuntime& worker = workers_[static_cast<size_t>(w)];
-  if (process_backend_ != nullptr) {
-    return process_backend_->LossAndGradient(w, worker.model->parameters(),
-                                             worker.batch_indices,
-                                             worker.gradient);
-  }
   return ml::ShardedLossAndGradient(*worker.model, worker.shard,
                                     worker.batch_indices, worker.gradient,
                                     worker.workspace, pool_.get(), shards_);
@@ -568,11 +520,6 @@ RunResult ExperimentHarness::Finalize() {
   result.computes_speculated = stats.computes_speculated;
   result.computes_redispatched = stats.computes_redispatched;
   result.computes_recomputed = stats.computes_recomputed;
-  result.window_stalls = stats.window_stalls;
-  result.window_backpressure = stats.window_backpressure;
-  result.window_resizes = stats.window_resizes;
-  result.process_child_deaths = stats.process_child_deaths;
-  result.process_ranges_redispatched = stats.process_ranges_redispatched;
   result.faults_injected = faults_injected_;
   result.rounds_degraded = rounds_degraded_;
   result.peers_timed_out = peers_timed_out_;

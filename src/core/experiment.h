@@ -21,7 +21,6 @@
 #include "common/serialize.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/execution_backend.h"
 #include "core/policy_generator.h"
 #include "ml/compression.h"
 #include "ml/dataset.h"
@@ -36,8 +35,6 @@
 #include "net/topology.h"
 
 namespace netmax::core {
-
-class ProcessPoolBackend;  // core/process_backend.h
 
 // How an engine treats a neighbor that is dead (left/crashed) or stalled
 // when a round needs it (net/fault_schedule.h faults):
@@ -177,34 +174,17 @@ struct ExperimentConfig {
   // and tree reduction (ml/sharding.h), so RunResult is bit-identical across
   // the whole {threads, shards} grid.
   int shards = 0;
-  // Execution backend for the simulator's compute halves
-  // (core/execution_backend.h): serial dispatch, frontier speculation with a
-  // barrier (default, today's engine), or the async bounded-reorder commit
-  // pipeline. With threads <= 1 there is no pool and every kind degrades to
-  // serial. Like threads/shards, purely an execution choice — RunResult is
-  // bit-identical for every backend.
-  ExecutionBackendKind backend = ExecutionBackendKind::kSpeculative;
+  // The execution backend follows from `threads` (core/execution_backend.h):
+  // a pooled run (threads > 1) speculates compute halves on the pool, a
+  // threads == 1 run dispatches serially. Either way RunResult is
+  // bit-identical.
+  //
   // Priority-queue implementation behind the simulator (net/event_queue.h).
   // Purely an execution choice: (time, sequence) is a strict total order, so
-  // RunResult is bit-identical for every kind. The sorted-vector default is
-  // fastest at the paper's O(10) worker scale; the calendar queue is the
-  // scale-frontier choice at 10^5+ workers (see bench_scale_frontier).
-  net::EventQueueKind event_queue = net::EventQueueKind::kSortedVector;
-  // Async backend only: bound on in-flight compute evaluations (the reorder
-  // window). 0 (default) = synchronous — nothing is evaluated ahead of its
-  // turn. Ignored by the other backends.
-  int reorder_window = 0;
-  // Async backend only: let the backend re-size the reorder window at
-  // runtime from its own stall/backpressure/re-dispatch counters (useful
-  // under straggler faults, where the profitable window depth changes
-  // mid-run). Still bit-identical — window depth never affects results.
-  bool adaptive_reorder_window = false;
-  // Process backend only (--procs / NETMAX_PROCS): forked gradient-compute
-  // children. 0 = one per hardware core. Like threads/shards, purely an
-  // execution choice — RunResult is bit-identical for every value. The
-  // harness forces threads to 1 under this backend (fork safety: a child
-  // must never inherit live pool threads), so the two knobs never combine.
-  int procs = 0;
+  // RunResult is bit-identical for either kind. The calendar queue is the
+  // production default; the sorted vector is the ordering reference the
+  // determinism tests compare against.
+  net::EventQueueKind event_queue = net::EventQueueKind::kCalendar;
 
   // --- fault injection / graceful degradation (net/fault_schedule.h) ---
   // Worker lifecycle faults injected as first-class virtual-time events. An
@@ -230,7 +210,7 @@ struct ExperimentConfig {
   // (net/wire_format.h), and apply the matching lossy transform to every
   // exchanged delta/gradient; int8's stochastic rounding draws from the
   // committing worker's RNG stream, so results stay bit-identical across the
-  // whole {backend, reorder window, threads, shards, event queue} grid.
+  // whole {threads, shards, event queue} grid.
   ml::CompressionSpec compress;
 
   // --- checkpoint / restore (core/checkpoint.h) ---
@@ -295,29 +275,21 @@ struct RunResult {
   int64_t policies_generated = 0;
   // Execution-backend diagnostics (all zero on the serial threads=1 path;
   // excluded from the bit-identity contract, which covers simulation outputs
-  // only): the backend that ran the simulation, frontier/window batches
-  // dispatched, compute halves evaluated ahead of their turn, invalidated
-  // evaluations re-dispatched onto the pool, the defensive inline recomputes
-  // (expected zero), and the async pipeline's head-of-window stalls and
-  // full-window backpressure events (stalls are real-timing dependent; the
-  // other counters are deterministic per config).
+  // only): the backend that ran the simulation ("serial" or "speculative"),
+  // frontier batches dispatched, compute halves evaluated ahead of their
+  // turn, invalidated evaluations re-dispatched onto the pool, and the
+  // defensive inline recomputes (expected zero).
   std::string backend;
-  // Event-queue implementation the run used ("vector", "heap", "calendar",
-  // "pairing");
+  // Event-queue implementation the run used ("calendar" or "vector");
   // diagnostics only — the queue never affects simulation output.
   std::string event_queue;
   int64_t parallel_batches = 0;
   int64_t computes_speculated = 0;
   int64_t computes_redispatched = 0;
   int64_t computes_recomputed = 0;
+  // Always zero: no backend has a reorder window to stall on. Kept only
+  // while the perfbench metric core.backend.window_stalls still reads it.
   int64_t window_stalls = 0;
-  int64_t window_backpressure = 0;
-  int64_t window_resizes = 0;
-  // Process backend only: forked children that died mid-run and the leaf
-  // ranges re-dispatched (or parent-computed) because of it. Real-machine
-  // dependent like window_stalls; zero on crash-free runs.
-  int64_t process_child_deaths = 0;
-  int64_t process_ranges_redispatched = 0;
   // Fault-injection diagnostics (all zero on fault-free runs; part of the
   // simulation output, so bit-identical across backends/threads/shards):
   // lifecycle events applied, rounds that degraded because a peer was dead
@@ -551,10 +523,6 @@ class ExperimentHarness {
   // Resolved intra-worker shard-task bound (config.shards with 0 mapped to
   // ceil(threads / num_workers)).
   int shards() const { return shards_; }
-  // Non-null when the run uses the multi-process backend
-  // (core/process_backend.h): the attached backend, exposed so benches can
-  // report its child count and tests can crash a child mid-run.
-  ProcessPoolBackend* process_backend() { return process_backend_; }
 
   // For NetMax diagnostics.
   void set_policies_generated(int64_t n) { policies_generated_ = n; }
@@ -643,9 +611,6 @@ class ExperimentHarness {
   // the simulator (declared before sim_ only for grouping — the simulator
   // never touches the backend after RunUntilIdle returns).
   std::unique_ptr<net::ExecutionBackend> backend_;
-  // Downcast view of backend_ when config_.backend is kProcessPool (null
-  // otherwise); EvalBatchGradient routes its leaf waves through it.
-  ProcessPoolBackend* process_backend_ = nullptr;
   net::EventSimulator sim_;
   std::unique_ptr<net::Topology> topology_;
   std::unique_ptr<net::LinkModel> links_;

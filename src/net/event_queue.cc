@@ -18,9 +18,8 @@ bool PopsAfter(const SimEvent& a, const SimEvent& b) {
 
 // --- sorted vector ----------------------------------------------------------
 // Descending (time, sequence), next event at the back: O(1) pop, O(n)
-// shifting insert. Queues at the paper's scale hold O(workers) events, which
-// keeps the shifted tail small — this was measurably the fastest layout at
-// 8-32 workers, so it stays the default.
+// shifting insert. The ordering reference the calendar queue is tested
+// against: an upper_bound insert leaves nothing to get wrong.
 class SortedVectorEventQueue final : public EventQueue {
  public:
   std::string_view name() const override { return "vector"; }
@@ -60,68 +59,6 @@ class SortedVectorEventQueue final : public EventQueue {
 
  private:
   std::vector<SimEvent> queue_;
-};
-
-// --- binary heap ------------------------------------------------------------
-// std::push_heap/pop_heap over a vector with PopsAfter as the less-than:
-// the heap maximum (front) is the event nothing dispatches before. In-order
-// scans walk the implicit tree with an auxiliary index heap — the heap
-// property guarantees parents dispatch before children, so visiting the
-// earliest frontier index and pushing its children enumerates the first k
-// events in exact dispatch order in O(k log k).
-class BinaryHeapEventQueue final : public EventQueue {
- public:
-  std::string_view name() const override { return "heap"; }
-  EventQueueKind kind() const override { return EventQueueKind::kBinaryHeap; }
-
-  void Push(SimEvent event) override {
-    heap_.push_back(std::move(event));
-    std::push_heap(heap_.begin(), heap_.end(), PopsAfter);
-  }
-
-  SimEvent PopNext() override {
-    NETMAX_CHECK(!heap_.empty());
-    std::pop_heap(heap_.begin(), heap_.end(), PopsAfter);
-    SimEvent event = std::move(heap_.back());
-    heap_.pop_back();
-    return event;
-  }
-
-  double NextTime() const override {
-    NETMAX_CHECK(!heap_.empty());
-    return heap_.front().time;
-  }
-
-  int64_t size() const override { return static_cast<int64_t>(heap_.size()); }
-
-  void Clear() override { heap_.clear(); }
-
-  void VisitInOrder(int64_t max_visit, const Visitor& visit) const override {
-    if (heap_.empty() || max_visit <= 0) return;
-    const auto later = [this](size_t a, size_t b) {
-      return heap_[b].DispatchesBefore(heap_[a]);
-    };
-    scan_.clear();
-    scan_.push_back(0);
-    int64_t visited = 0;
-    while (!scan_.empty() && visited < max_visit) {
-      std::pop_heap(scan_.begin(), scan_.end(), later);
-      const size_t index = scan_.back();
-      scan_.pop_back();
-      if (visit(heap_[index]) == VisitAction::kStop) return;
-      ++visited;
-      for (const size_t child : {2 * index + 1, 2 * index + 2}) {
-        if (child < heap_.size()) {
-          scan_.push_back(child);
-          std::push_heap(scan_.begin(), scan_.end(), later);
-        }
-      }
-    }
-  }
-
- private:
-  std::vector<SimEvent> heap_;
-  mutable std::vector<size_t> scan_;  // frontier scratch, grow-only
 };
 
 // --- calendar queue ---------------------------------------------------------
@@ -348,169 +285,22 @@ class CalendarEventQueue final : public EventQueue {
   mutable uint64_t scan_epoch_ = 0;
 };
 
-// --- pairing heap -----------------------------------------------------------
-// Fredman/Sedgewick/Sleator/Tarjan's pairing heap over an index-linked node
-// pool: each node holds its event plus first-child / next-sibling indices,
-// popped nodes go onto a free list, so steady-state push/pop touches no
-// heap memory once the pool is warm. Push is a single comparison (merge with
-// the root); pop detaches the root's child list and rebuilds it with the
-// classic two-pass pairing (merge adjacent pairs left to right, then fold
-// the pair winners right to left).
-//
-// Determinism: the comparator is DispatchesBefore — a strict total order
-// (sequences are unique) — and both merge passes visit children in their
-// stored list order, so the tree shape after any operation sequence is a
-// pure function of the pushed events. Pop order is therefore bit-identical
-// to the sorted vector's, ties included.
-//
-// VisitInOrder walks the heap-ordered tree with an auxiliary index heap:
-// a node's parent always dispatches before it, so once every visited node's
-// children join the frontier, the frontier always contains the earliest
-// unvisited event. (Pushing ALL children of a visited node matters: siblings
-// are mutually unordered, so the binary-tree walk the array heap uses would
-// visit a later sibling too early.)
-class PairingHeapEventQueue final : public EventQueue {
- public:
-  std::string_view name() const override { return "pairing"; }
-  EventQueueKind kind() const override { return EventQueueKind::kPairingHeap; }
-
-  void Push(SimEvent event) override {
-    int32_t node;
-    if (!free_.empty()) {
-      node = free_.back();
-      free_.pop_back();
-      nodes_[static_cast<size_t>(node)].event = std::move(event);
-    } else {
-      node = static_cast<int32_t>(nodes_.size());
-      nodes_.push_back(Node{std::move(event), -1, -1});
-    }
-    Node& n = nodes_[static_cast<size_t>(node)];
-    n.child = -1;
-    n.sibling = -1;
-    root_ = root_ < 0 ? node : Merge(root_, node);
-    ++size_;
-  }
-
-  SimEvent PopNext() override {
-    NETMAX_CHECK_GE(root_, 0);
-    const int32_t old_root = root_;
-    SimEvent event = std::move(nodes_[static_cast<size_t>(old_root)].event);
-    // Two-pass pairing: merge adjacent child pairs in list order...
-    pairs_.clear();
-    int32_t child = nodes_[static_cast<size_t>(old_root)].child;
-    while (child >= 0) {
-      const int32_t next = nodes_[static_cast<size_t>(child)].sibling;
-      nodes_[static_cast<size_t>(child)].sibling = -1;
-      if (next < 0) {
-        pairs_.push_back(child);
-        break;
-      }
-      const int32_t rest = nodes_[static_cast<size_t>(next)].sibling;
-      nodes_[static_cast<size_t>(next)].sibling = -1;
-      pairs_.push_back(Merge(child, next));
-      child = rest;
-    }
-    // ...then fold the winners right to left.
-    int32_t new_root = -1;
-    for (auto it = pairs_.rbegin(); it != pairs_.rend(); ++it) {
-      new_root = new_root < 0 ? *it : Merge(*it, new_root);
-    }
-    root_ = new_root;
-    free_.push_back(old_root);
-    --size_;
-    return event;
-  }
-
-  double NextTime() const override {
-    NETMAX_CHECK_GE(root_, 0);
-    return nodes_[static_cast<size_t>(root_)].event.time;
-  }
-
-  int64_t size() const override { return size_; }
-
-  void Clear() override {
-    // Indices into nodes_ die with it; capacity of all three vectors stays.
-    nodes_.clear();
-    free_.clear();
-    pairs_.clear();
-    root_ = -1;
-    size_ = 0;
-  }
-
-  void VisitInOrder(int64_t max_visit, const Visitor& visit) const override {
-    if (root_ < 0 || max_visit <= 0) return;
-    const auto later = [this](int32_t a, int32_t b) {
-      return nodes_[static_cast<size_t>(b)].event.DispatchesBefore(
-          nodes_[static_cast<size_t>(a)].event);
-    };
-    scan_.clear();
-    scan_.push_back(root_);
-    int64_t visited = 0;
-    while (!scan_.empty() && visited < max_visit) {
-      std::pop_heap(scan_.begin(), scan_.end(), later);
-      const int32_t index = scan_.back();
-      scan_.pop_back();
-      const Node& node = nodes_[static_cast<size_t>(index)];
-      if (visit(node.event) == VisitAction::kStop) return;
-      ++visited;
-      for (int32_t child = node.child; child >= 0;
-           child = nodes_[static_cast<size_t>(child)].sibling) {
-        scan_.push_back(child);
-        std::push_heap(scan_.begin(), scan_.end(), later);
-      }
-    }
-  }
-
- private:
-  struct Node {
-    SimEvent event;
-    int32_t child = -1;    // first child, -1 none
-    int32_t sibling = -1;  // next sibling in the parent's child list
-  };
-
-  // Links the loser as the winner's first child; returns the winner. The
-  // comparator's strict total order makes the winner unambiguous.
-  int32_t Merge(int32_t a, int32_t b) {
-    if (nodes_[static_cast<size_t>(b)].event.DispatchesBefore(
-            nodes_[static_cast<size_t>(a)].event)) {
-      std::swap(a, b);
-    }
-    nodes_[static_cast<size_t>(b)].sibling =
-        nodes_[static_cast<size_t>(a)].child;
-    nodes_[static_cast<size_t>(a)].child = b;
-    return a;
-  }
-
-  std::vector<Node> nodes_;
-  std::vector<int32_t> free_;            // reusable node indices
-  std::vector<int32_t> pairs_;           // PopNext first-pass scratch
-  mutable std::vector<int32_t> scan_;    // VisitInOrder frontier scratch
-  int32_t root_ = -1;
-  int64_t size_ = 0;
-};
-
 }  // namespace
 
 StatusOr<EventQueueKind> ParseEventQueueKind(std::string_view text) {
   if (text == "vector") return EventQueueKind::kSortedVector;
-  if (text == "heap") return EventQueueKind::kBinaryHeap;
   if (text == "calendar") return EventQueueKind::kCalendar;
-  if (text == "pairing") return EventQueueKind::kPairingHeap;
   return InvalidArgumentError(
       "unknown event queue '" + std::string(text) +
-      "' (expected vector, heap, calendar, or pairing)");
+      "' (expected vector or calendar)");
 }
 
 std::string_view EventQueueKindName(EventQueueKind kind) {
   switch (kind) {
     case EventQueueKind::kSortedVector:
       return "vector";
-    case EventQueueKind::kBinaryHeap:
-      return "heap";
     case EventQueueKind::kCalendar:
       return "calendar";
-    case EventQueueKind::kPairingHeap:
-      return "pairing";
   }
   NETMAX_CHECK(false) << "unreachable";
   return "";
@@ -520,12 +310,8 @@ std::unique_ptr<EventQueue> MakeEventQueue(EventQueueKind kind) {
   switch (kind) {
     case EventQueueKind::kSortedVector:
       return std::make_unique<SortedVectorEventQueue>();
-    case EventQueueKind::kBinaryHeap:
-      return std::make_unique<BinaryHeapEventQueue>();
     case EventQueueKind::kCalendar:
       return std::make_unique<CalendarEventQueue>();
-    case EventQueueKind::kPairingHeap:
-      return std::make_unique<PairingHeapEventQueue>();
   }
   NETMAX_CHECK(false) << "unreachable";
   return nullptr;

@@ -10,27 +10,22 @@
 // suite and the pinned golden traces hold every implementation here to that
 // bit-identity standard, tie-breaks included.
 //
-// Four implementations, selectable per run (--event-queue):
+// Two implementations, selectable per run (--event-queue):
 //
+//  * kCalendar     — a bucketed calendar queue (R. Brown, CACM 1988):
+//    amortized O(1) insert+pop independent of n. The production queue and
+//    the default: it leads at every measured size from 1024 pending events
+//    up (bench_scale_frontier / BENCH_scale.json), and at the paper's 8-32
+//    worker scale the figure benches run as fast on it as on the sorted
+//    vector.
 //  * kSortedVector — a vector sorted by descending (time, sequence), next
-//    event at the back. O(n) insert / O(1) pop; the fastest at the paper's
-//    8-32 worker scale (PR 3 measured ~20% over a heap at 32 workers) and
-//    the default.
-//  * kBinaryHeap  — std::push_heap/pop_heap over a vector. O(log n)
-//    insert+pop; the safe middle ground when n outgrows the vector.
-//  * kCalendar    — a bucketed calendar queue (R. Brown, CACM 1988):
-//    amortized O(1) insert+pop independent of n; the scale-frontier choice
-//    at 10^5+ workers (see bench_scale_frontier / BENCH_scale.json).
-//  * kPairingHeap — a pairing heap (Fredman et al. 1986) over a node pool
-//    with free-list reuse: O(1) insert/merge, amortized O(log n) pop, and —
-//    unlike kBinaryHeap — no O(log n) sift on every push, which favors the
-//    push-heavy phases of large fleets. The comparator is the same strict
-//    (time, sequence) order, so its merge shape is deterministic.
+//    event at the back. O(n) insert / O(1) pop. Kept as the ordering
+//    reference: its pop order is correct by inspection, and the determinism
+//    tests and the golden-trace gate compare the calendar queue against it.
 //
-// All four keep their storage grow-only (Clear() and pops retain capacity),
-// so steady-state push/pop performs no heap allocation once warm — the
-// simulator-core half of the PR-2 zero-alloc workspace discipline
-// (event closures are inline SmallFns, see common/small_fn.h).
+// Both keep their storage grow-only (Clear() and pops retain capacity), so
+// steady-state push/pop performs no heap allocation once warm (event
+// closures are inline SmallFns, see common/small_fn.h).
 
 #include <cstdint>
 #include <functional>
@@ -86,14 +81,12 @@ struct SimEvent {
 };
 
 enum class EventQueueKind {
-  kSortedVector,
-  kBinaryHeap,
-  kCalendar,
-  kPairingHeap,
+  kCalendar,      // production default
+  kSortedVector,  // ordering reference
 };
 
-// "vector" | "heap" | "calendar" | "pairing"; an unknown name is an
-// InvalidArgument error naming the accepted spellings.
+// "vector" | "calendar"; an unknown name is an InvalidArgument error naming
+// the accepted spellings.
 StatusOr<EventQueueKind> ParseEventQueueKind(std::string_view text);
 std::string_view EventQueueKindName(EventQueueKind kind);
 
@@ -107,8 +100,8 @@ class EventQueue {
 
   virtual ~EventQueue() = default;
 
-  // Short stable identifier ("vector", "heap", "calendar", "pairing") used
-  // in diagnostics and bench tables.
+  // Short stable identifier ("vector", "calendar") used in diagnostics and
+  // bench tables.
   virtual std::string_view name() const = 0;
   virtual EventQueueKind kind() const = 0;
 

@@ -7,7 +7,7 @@
 namespace netmax::net {
 
 EventSimulator::EventSimulator()
-    : queue_(MakeEventQueue(EventQueueKind::kSortedVector)) {}
+    : queue_(MakeEventQueue(EventQueueKind::kCalendar)) {}
 
 void EventSimulator::ReplaceQueue(std::unique_ptr<EventQueue> queue) {
   NETMAX_CHECK(queue != nullptr);
@@ -270,9 +270,7 @@ int64_t ExecutionBackend::RunUntilIdle(EventSimulator& sim) {
     // nothing else runs.
     OnHalt(sim);
     sim.ClearQueue();
-    return count;
   }
-  OnIdle(sim);
   return count;
 }
 

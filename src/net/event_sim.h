@@ -27,10 +27,9 @@
 // The simulator owns the queue and the ordering contract only. HOW compute
 // halves are evaluated relative to the strictly ordered commit drain is an
 // ExecutionBackend decision (set_backend): run them inline at their turn
-// (serial), speculate frontier batches of distinct-worker events on a
-// ThreadPool behind a barrier (speculative), or pipeline them through a
-// bounded reorder window with no barrier at all (async). Concrete backends
-// live in core/execution_backend.h; with no backend attached the simulator
+// (serial), or speculate frontier batches of distinct-worker events on a
+// ThreadPool behind a barrier (speculative). Concrete backends live in
+// core/execution_backend.h; with no backend attached the simulator
 // dispatches fully serially.
 //
 // Every backend preserves the same soundness contract, so results are
@@ -96,13 +95,11 @@ struct RebuiltEvent {
 using EventRebuilder = std::function<StatusOr<RebuiltEvent>(const SavedEvent&)>;
 
 // Diagnostics every backend reports (all zero on the serial path). Excluded
-// from the bit-identity contract, which covers simulation outputs only;
-// `window_stalls` is additionally timing-dependent (it counts real
-// not-ready-yet waits), the other counters are deterministic per config.
+// from the bit-identity contract, which covers simulation outputs only.
 struct ExecutionStats {
   // Dispatch bursts that put at least two compute halves in flight.
   int64_t parallel_batches = 0;
-  // Compute halves evaluated ahead of their turn (frontier or window).
+  // Compute halves evaluated ahead of their turn (frontier members).
   int64_t computes_speculated = 0;
   // Invalidated speculations re-dispatched onto the pool after the
   // invalidating handler returned (double invalidations re-count).
@@ -112,23 +109,6 @@ struct ExecutionStats {
   // invalidated in-flight speculation gets a re-dispatch entry), asserted to
   // stay zero by the determinism tests.
   int64_t computes_recomputed = 0;
-  // Async backend: commit drain reached a window entry whose compute had not
-  // finished yet and had to wait (head-of-window stall).
-  int64_t window_stalls = 0;
-  // Async backend: the dispatch scan found a runnable compute half but the
-  // reorder window was full (backpressure).
-  int64_t window_backpressure = 0;
-  // Async backend with --adaptive-window: times the reorder window was
-  // re-sized in response to the backpressure/stall/re-dispatch counters
-  // (real-timing dependent, like window_stalls).
-  int64_t window_resizes = 0;
-  // Process backend: forked children that died mid-run (each death also
-  // surfaces as a typed Status on the backend) and the unfinished leaf
-  // ranges re-dispatched to a surviving child (or computed by the parent
-  // with no survivors left) because of those deaths. Both real-machine
-  // dependent, like window_stalls; both zero on crash-free runs.
-  int64_t process_child_deaths = 0;
-  int64_t process_ranges_redispatched = 0;
 };
 
 class EventSimulator {
@@ -319,8 +299,7 @@ class EventSimulator {
   int64_t processed_ = 0;
   bool halt_requested_ = false;
   // Pending events, behind the pluggable EventQueue seam. Defaults to the
-  // sorted vector (fastest at the paper's O(10) worker scale); large-N runs
-  // swap in the heap or calendar queue via ReplaceQueue.
+  // calendar queue; ReplaceQueue swaps in the sorted-vector reference.
   std::unique_ptr<EventQueue> queue_;
   ExecutionBackend* backend_ = nullptr;
 };
@@ -328,7 +307,7 @@ class EventSimulator {
 // Strategy interface between the simulation schedule and how compute halves
 // actually get evaluated. One backend instance drives one simulator run:
 // RunUntilIdle alternates Dispatch (offer pending compute halves to the
-// backend — inline, pooled frontier, bounded window, ...) with DrainCommits
+// backend — inline or as a pooled frontier) with DrainCommits
 // (apply at least one event in strict (time, sequence) order, consuming
 // dispatched results through the SpeculationProvider). Concrete
 // implementations and the selection plumbing live in
@@ -348,7 +327,7 @@ class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
 
-  // Short stable identifier ("serial", "speculative", "async") used in
+  // Short stable identifier ("serial", "speculative") used in
   // RunResult and bench tables.
   virtual std::string_view name() const = 0;
 
@@ -367,16 +346,12 @@ class ExecutionBackend {
   virtual void OnStateWrite(EventSimulator& sim, int worker_key) = 0;
 
   // Runs the simulator to completion: alternates Dispatch and DrainCommits
-  // until the queue is empty, then checks the backend's end-of-run
-  // invariants. Returns the number of events processed.
+  // until the queue is empty. Returns the number of events processed.
   int64_t RunUntilIdle(EventSimulator& sim);
 
   const ExecutionStats& stats() const { return stats_; }
 
  protected:
-  // End-of-run invariant hook for RunUntilIdle (e.g. "the window is empty").
-  virtual void OnIdle(EventSimulator& /*sim*/) {}
-
   // Halt hook for RunUntilIdle: the simulator requested a halt (a crash
   // fault), so the backend must wait out and discard every in-flight
   // evaluation — their pooled tasks reference engine state that the caller

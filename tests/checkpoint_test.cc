@@ -1,10 +1,11 @@
 // Bit-exact checkpoint/restore (core/checkpoint.h): for every registered
-// algorithm and every execution backend, a run that (a) checkpoints mid-run
+// algorithm and both execution backends, a run that (a) checkpoints mid-run
 // and keeps going, or (b) restores from that checkpoint and finishes, must
 // produce a RunResult bit-identical to the uninterrupted run. Also covers the
 // wire-format error paths: truncation, corruption, fingerprint mismatches,
 // and the file round trip.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -13,15 +14,15 @@
 #include <gtest/gtest.h>
 
 #include "algos/registry.h"
+#include "common/serialize.h"
 #include "core/checkpoint.h"
-#include "core/execution_backend.h"
 #include "core/experiment.h"
+#include "net/event_queue.h"
 #include "net/fault_schedule.h"
 
 namespace netmax {
 namespace {
 
-using core::ExecutionBackendKind;
 using core::ExperimentConfig;
 using core::NetworkScenario;
 using core::RunResult;
@@ -103,23 +104,12 @@ TEST_P(CheckpointRoundTrip, AllBackendsBitIdentical) {
   ASSERT_GT(reference.total_virtual_seconds, 0.0);
   const double checkpoint_at = 0.5 * reference.total_virtual_seconds;
 
-  struct BackendPoint {
-    ExecutionBackendKind backend;
-    int threads;
-    int reorder_window;
-  };
-  const BackendPoint points[] = {
-      {ExecutionBackendKind::kSerial, 1, 0},
-      {ExecutionBackendKind::kSpeculative, 8, 0},
-      {ExecutionBackendKind::kAsyncPipeline, 8, 4},
-  };
-  for (const BackendPoint& point : points) {
-    SCOPED_TRACE(static_cast<int>(point.backend));
+  // threads=1 runs the serial backend, threads=8 the speculative one.
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE(threads);
     std::vector<uint8_t> checkpoint;
     ExperimentConfig with_checkpoint = base;
-    with_checkpoint.backend = point.backend;
-    with_checkpoint.threads = point.threads;
-    with_checkpoint.reorder_window = point.reorder_window;
+    with_checkpoint.threads = threads;
     with_checkpoint.checkpoint_at_seconds = checkpoint_at;
     with_checkpoint.checkpoint_sink = &checkpoint;
     const RunResult checkpointed = MustRun(GetParam(), with_checkpoint);
@@ -127,9 +117,7 @@ TEST_P(CheckpointRoundTrip, AllBackendsBitIdentical) {
     ASSERT_FALSE(checkpoint.empty());
 
     ExperimentConfig resumed = base;
-    resumed.backend = point.backend;
-    resumed.threads = point.threads;
-    resumed.reorder_window = point.reorder_window;
+    resumed.threads = threads;
     resumed.restore_source = &checkpoint;
     const RunResult restored = MustRun(GetParam(), resumed);
     ExpectBitIdentical(reference, restored);
@@ -137,58 +125,36 @@ TEST_P(CheckpointRoundTrip, AllBackendsBitIdentical) {
 }
 
 // A checkpoint written by the serial backend restores bit-identically on the
-// pooled backends (and vice versa): the bytes carry no execution-strategy
-// state.
+// speculative backend, and one written by the speculative backend at
+// threads=8 restores bit-identically at threads=1 and under the
+// sorted-vector queue: the checkpoint fingerprint covers the simulation
+// config only, and the bytes carry no execution-strategy state.
 TEST_P(CheckpointRoundTrip, CheckpointsAreBackendPortable) {
   const ExperimentConfig base = BaseConfig();
   const RunResult reference = MustRun(GetParam(), base);
-  std::vector<uint8_t> checkpoint;
-  ExperimentConfig with_checkpoint = base;
-  with_checkpoint.checkpoint_at_seconds =
-      0.5 * reference.total_virtual_seconds;
-  with_checkpoint.checkpoint_sink = &checkpoint;
-  MustRun(GetParam(), with_checkpoint);
-
-  ExperimentConfig resumed = base;
-  resumed.backend = ExecutionBackendKind::kAsyncPipeline;
-  resumed.threads = 8;
-  resumed.reorder_window = 4;
-  resumed.restore_source = &checkpoint;
-  ExpectBitIdentical(reference, MustRun(GetParam(), resumed));
-}
-
-// Cross-config restore across the process boundary: a checkpoint written by
-// the speculative backend under a full thread pool restores bit-identically
-// under the multi-process backend (forked children, shared-memory dispatch)
-// and back under serial. The checkpoint fingerprint covers the simulation
-// config only — backend, threads, and procs are real-machine choices — so
-// both restores must accept the bytes and finish on the reference's bits.
-TEST_P(CheckpointRoundTrip, SpeculativeCheckpointRestoresUnderProcessBackend) {
-  const ExperimentConfig base = BaseConfig();
-  const RunResult reference = MustRun(GetParam(), base);
   ASSERT_GT(reference.total_virtual_seconds, 0.0);
+  for (const int writer_threads : {1, 8}) {
+    SCOPED_TRACE(writer_threads);
+    std::vector<uint8_t> checkpoint;
+    ExperimentConfig with_checkpoint = base;
+    with_checkpoint.threads = writer_threads;
+    with_checkpoint.checkpoint_at_seconds =
+        0.5 * reference.total_virtual_seconds;
+    with_checkpoint.checkpoint_sink = &checkpoint;
+    MustRun(GetParam(), with_checkpoint);
+    ASSERT_FALSE(checkpoint.empty());
 
-  std::vector<uint8_t> checkpoint;
-  ExperimentConfig with_checkpoint = base;
-  with_checkpoint.backend = ExecutionBackendKind::kSpeculative;
-  with_checkpoint.threads = 8;
-  with_checkpoint.checkpoint_at_seconds =
-      0.5 * reference.total_virtual_seconds;
-  with_checkpoint.checkpoint_sink = &checkpoint;
-  MustRun(GetParam(), with_checkpoint);
-  ASSERT_FALSE(checkpoint.empty());
+    ExperimentConfig resumed = base;
+    resumed.threads = writer_threads == 1 ? 8 : 1;
+    resumed.restore_source = &checkpoint;
+    const RunResult restored = MustRun(GetParam(), resumed);
+    EXPECT_EQ(restored.backend,
+              writer_threads == 1 ? "speculative" : "serial");
+    ExpectBitIdentical(reference, restored);
 
-  ExperimentConfig under_process = base;
-  under_process.backend = ExecutionBackendKind::kProcessPool;
-  under_process.procs = 2;  // pinned: the grid must not fork one per core
-  under_process.restore_source = &checkpoint;
-  const RunResult process_restored = MustRun(GetParam(), under_process);
-  EXPECT_EQ(process_restored.backend, "process");
-  ExpectBitIdentical(reference, process_restored);
-
-  ExperimentConfig under_serial = base;
-  under_serial.restore_source = &checkpoint;
-  ExpectBitIdentical(reference, MustRun(GetParam(), under_serial));
+    resumed.event_queue = net::EventQueueKind::kSortedVector;
+    ExpectBitIdentical(reference, MustRun(GetParam(), resumed));
+  }
 }
 
 // The crash-recovery contract: a run killed by a crash@T fault, restored
@@ -275,6 +241,35 @@ TEST(CheckpointErrors, TruncatedBytesAreRejected) {
   resumed.restore_source = &checkpoint;
   const Status status = TryRun("gossip", resumed);
   EXPECT_FALSE(status.ok());
+}
+
+// The loss series' length field set to 2^61, which wraps `size * 16` to 0 in
+// 64 bits: the overflow-safe check reports OutOfRange instead of letting
+// reserve abort the process. The field is found by the series' first point,
+// which the checkpointed series shares with the finished run's.
+TEST(CheckpointErrors, HugeSeriesLengthIsOutOfRange) {
+  const ExperimentConfig base = BaseConfig();
+  const RunResult reference = MustRun("gossip", base);
+  ASSERT_FALSE(reference.loss_vs_time.empty());
+  std::vector<uint8_t> checkpoint = MakeCheckpoint(base);
+  Serializer first_point;
+  first_point.WriteDouble(reference.loss_vs_time.front().x);
+  first_point.WriteDouble(reference.loss_vs_time.front().y);
+  const auto found =
+      std::search(checkpoint.begin(), checkpoint.end(),
+                  first_point.bytes().begin(), first_point.bytes().end());
+  ASSERT_NE(found, checkpoint.end());
+  ASSERT_GE(found - checkpoint.begin(), 8);
+  Serializer huge_length;
+  huge_length.WriteU64(uint64_t{1} << 61);
+  std::copy(huge_length.bytes().begin(), huge_length.bytes().end(),
+            found - 8);
+  ExperimentConfig resumed = base;
+  resumed.restore_source = &checkpoint;
+  const Status status = TryRun("gossip", resumed);
+  EXPECT_EQ(status.code(), StatusCode::kOutOfRange) << status.ToString();
+  EXPECT_NE(status.message().find("series"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(CheckpointErrors, BadMagicIsRejected) {

@@ -12,6 +12,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -60,9 +61,8 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace netmax::net {
 namespace {
 
-constexpr EventQueueKind kAllKinds[] = {
-    EventQueueKind::kSortedVector, EventQueueKind::kBinaryHeap,
-    EventQueueKind::kCalendar, EventQueueKind::kPairingHeap};
+constexpr EventQueueKind kAllKinds[] = {EventQueueKind::kSortedVector,
+                                        EventQueueKind::kCalendar};
 
 int64_t AllocationCount() {
   return g_allocation_count.load(std::memory_order_relaxed);
@@ -89,8 +89,13 @@ TEST(ParseEventQueueKindTest, RejectsUnknownNamesWithTheSpellings) {
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
   const std::string message(parsed.status().message());
   EXPECT_NE(message.find("pagoda"), std::string::npos);
-  EXPECT_NE(message.find("expected vector, heap, calendar, or pairing"),
-            std::string::npos);
+  EXPECT_NE(message.find("expected vector or calendar"), std::string::npos);
+  // The deleted heap queues are unknown names now, not aborts.
+  for (const std::string_view removed : {"heap", "pairing"}) {
+    EXPECT_EQ(ParseEventQueueKind(removed).status().code(),
+              StatusCode::kInvalidArgument)
+        << removed;
+  }
 }
 
 TEST(EventQueueTest, NamesAndKindsRoundTrip) {
@@ -105,15 +110,13 @@ TEST(EventQueueTest, NamesAndKindsRoundTrip) {
 // The property at the heart of the seam: under a randomized interleaving of
 // pushes and pops — with heavy time ties, out-of-order arrivals, and clock
 // advances — every implementation pops the identical (time, sequence)
-// stream. The sorted vector is the reference; heap, calendar, and pairing
-// heap must match it exactly.
+// stream. The sorted vector is the reference; the calendar queue must match
+// it exactly.
 TEST(EventQueueTest, RandomizedPopOrderMatchesSortedVectorIncludingTies) {
   for (const uint64_t seed : {1u, 7u, 1234u}) {
     const auto reference = MakeEventQueue(EventQueueKind::kSortedVector);
     std::vector<std::unique_ptr<EventQueue>> others;
-    others.push_back(MakeEventQueue(EventQueueKind::kBinaryHeap));
     others.push_back(MakeEventQueue(EventQueueKind::kCalendar));
-    others.push_back(MakeEventQueue(EventQueueKind::kPairingHeap));
     Rng rng(seed);
     int64_t next_sequence = 0;
     double base_time = 0.0;
@@ -301,11 +304,11 @@ TEST(EventQueueTest, SteadyStateSchedulingIsAllocationFree) {
       const double phase = 1.0 + 0.01 * static_cast<double>(w);
       sim.ScheduleAt(phase, [tick, w] { tick.Fire(w); });
     }
-    // Warm-up: grows the queue storage (vector/heap capacity, calendar
+    // Warm-up: grows the queue storage (vector capacity, calendar
     // buckets and cursors) to its steady-state footprint.
     for (int i = 0; i < 20000; ++i) ASSERT_TRUE(sim.Step());
     // Then require an entirely allocation-free window within a bounded
-    // number of attempts; vector/heap are clean on the first window.
+    // number of attempts; the vector is clean on the first window.
     int64_t window_allocs = -1;
     for (int window = 0; window < 25; ++window) {
       const int64_t before = AllocationCount();

@@ -1,10 +1,8 @@
 // The ExecutionBackend seam (net/event_sim.h + core/execution_backend.h):
 // the simulator delegates dispatch to whatever backend is attached, and
 // every backend must keep commits in strict (time, sequence) order and
-// results bit-identical to serial dispatch. The async pipeline additionally
-// gets adversarial scripted-latency coverage: compute halves that finish
-// far out of dispatch order, a window too small for the pending work
-// (backpressure), and invalidation of window-resident entries mid-flight.
+// results bit-identical to serial dispatch. The speculative backend's
+// invalidation and re-dispatch protocol is covered in event_sim_test.
 
 #include "core/execution_backend.h"
 
@@ -97,62 +95,9 @@ TEST(ExecutionBackendSeamTest, NoBackendMeansSerialAndNotifyIsANoOp) {
 }
 
 TEST(ExecutionBackendSeamTest, FactoryDegradesToSerialWithoutAPool) {
-  EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kSpeculative,
-                                 /*pool=*/nullptr, /*reorder_window=*/0)
-                ->name(),
-            "serial");
-  EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kAsyncPipeline,
-                                 /*pool=*/nullptr, /*reorder_window=*/4)
-                ->name(),
-            "serial");
+  EXPECT_EQ(MakeExecutionBackend(/*pool=*/nullptr)->name(), "serial");
   ThreadPool pool(2);
-  EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kSerial, &pool, 0)
-                ->name(),
-            "serial");
-  EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kSpeculative, &pool, 0)
-                ->name(),
-            "speculative");
-  EXPECT_EQ(
-      MakeExecutionBackend(ExecutionBackendKind::kAsyncPipeline, &pool, 4)
-          ->name(),
-      "async");
-  // The process pool's parallelism is forked children, not the thread pool:
-  // it must NOT degrade to serial without one (and must ignore one if given).
-  EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kProcessPool,
-                                 /*pool=*/nullptr, /*reorder_window=*/0)
-                ->name(),
-            "process");
-  EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kProcessPool, &pool, 0)
-                ->name(),
-            "process");
-}
-
-TEST(ExecutionBackendSeamTest, KindParsingIsStrict) {
-  ExecutionBackendKind kind = ExecutionBackendKind::kSerial;
-  EXPECT_TRUE(ParseExecutionBackendKind("speculative", &kind));
-  EXPECT_EQ(kind, ExecutionBackendKind::kSpeculative);
-  EXPECT_TRUE(ParseExecutionBackendKind("async", &kind));
-  EXPECT_EQ(kind, ExecutionBackendKind::kAsyncPipeline);
-  EXPECT_TRUE(ParseExecutionBackendKind("serial", &kind));
-  EXPECT_EQ(kind, ExecutionBackendKind::kSerial);
-  EXPECT_TRUE(ParseExecutionBackendKind("process", &kind));
-  EXPECT_EQ(kind, ExecutionBackendKind::kProcessPool);
-  for (const std::string_view bad :
-       {"", "Serial", "asink", "async ", "speculative2", "Process",
-        "process "}) {
-    ExecutionBackendKind untouched = ExecutionBackendKind::kAsyncPipeline;
-    EXPECT_FALSE(ParseExecutionBackendKind(bad, &untouched)) << bad;
-    EXPECT_EQ(untouched, ExecutionBackendKind::kAsyncPipeline) << bad;
-  }
-  for (const ExecutionBackendKind k :
-       {ExecutionBackendKind::kSerial, ExecutionBackendKind::kSpeculative,
-        ExecutionBackendKind::kAsyncPipeline,
-        ExecutionBackendKind::kProcessPool}) {
-    ExecutionBackendKind round_trip = ExecutionBackendKind::kSerial;
-    ASSERT_TRUE(
-        ParseExecutionBackendKind(ExecutionBackendKindName(k), &round_trip));
-    EXPECT_EQ(round_trip, k);
-  }
+  EXPECT_EQ(MakeExecutionBackend(&pool)->name(), "speculative");
 }
 
 TEST(SerialBackendTest, RunsEverythingInlineInOrder) {
@@ -172,171 +117,12 @@ TEST(SerialBackendTest, RunsEverythingInlineInOrder) {
   EXPECT_EQ(backend.stats().parallel_batches, 0);
 }
 
-// --- async pipeline: scripted latencies -------------------------------------
-
-// Schedules `n` compute events (distinct keys, ascending times) whose
-// compute halves sleep for scripted durations, so completion order is
-// whatever the script says — not dispatch order. Returns commit order.
-std::vector<int> RunScriptedLatencies(net::ExecutionBackend* backend,
-                                      const std::vector<int>& sleep_ms) {
-  EventSimulator sim;
-  sim.set_backend(backend);
-  std::vector<int> commit_order;
-  for (int key = 0; key < static_cast<int>(sleep_ms.size()); ++key) {
-    const int ms = sleep_ms[static_cast<size_t>(key)];
-    sim.ScheduleCompute(
-        /*time=*/1.0 + key, key,
-        [key, ms] {
-          std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-          return static_cast<double>(key);
-        },
-        [&commit_order](double value) {
-          commit_order.push_back(static_cast<int>(value));
-        });
-  }
-  sim.RunUntilIdle();
-  return commit_order;
-}
-
-TEST(AsyncPipelineBackendTest, OutOfOrderCompletionStillCommitsInOrder) {
-  // The earliest event is the slowest by far: later window entries finish
-  // long before it, yet every commit must wait its turn.
-  ThreadPool pool(4);
-  AsyncPipelineBackend backend(&pool, /*reorder_window=*/4);
-  const std::vector<int> commit_order =
-      RunScriptedLatencies(&backend, {30, 0, 5, 0});
-  EXPECT_EQ(commit_order, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(backend.stats().computes_speculated, 4);
-  EXPECT_EQ(backend.stats().computes_recomputed, 0);
-  // The slow head forces at least one genuine head-of-window wait.
-  EXPECT_GE(backend.stats().window_stalls, 1);
-}
-
-TEST(AsyncPipelineBackendTest, WindowFullAppliesBackpressure) {
-  // Five runnable computes, window of two: dispatch must hold work back
-  // (counted) and still produce ordered commits with every compute
-  // evaluated exactly once through the window.
-  ThreadPool pool(4);
-  AsyncPipelineBackend backend(&pool, /*reorder_window=*/2);
-  const std::vector<int> commit_order =
-      RunScriptedLatencies(&backend, {2, 0, 2, 0, 1});
-  EXPECT_EQ(commit_order, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(backend.stats().computes_speculated, 5);
-  EXPECT_GE(backend.stats().window_backpressure, 1);
-}
-
-TEST(AsyncPipelineBackendTest, WindowZeroIsSynchronous) {
-  ThreadPool pool(4);
-  AsyncPipelineBackend backend(&pool, /*reorder_window=*/0);
-  const std::vector<int> commit_order =
-      RunScriptedLatencies(&backend, {0, 0, 0});
-  EXPECT_EQ(commit_order, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(backend.stats().computes_speculated, 0);
-  EXPECT_EQ(backend.stats().window_backpressure, 0);
-}
-
-TEST(AsyncPipelineBackendTest, InvalidatedWindowEntryIsRedispatched) {
-  // Event A's commit writes the state B's compute reads while B is
-  // window-resident (and kept deliberately in flight by a sleep): the
-  // notify must wait B's evaluation out, discard it, and re-dispatch, so
-  // B's commit observes A's write — never the stale pre-write read.
-  ThreadPool pool(4);
-  AsyncPipelineBackend backend(&pool, /*reorder_window=*/4);
-  EventSimulator sim;
-  sim.set_backend(&backend);
-  // Plain double on purpose: the notify-before-write protocol (the invalidator
-  // waits out the in-flight read) is what makes this race-free; TSan on this
-  // test verifies the protocol itself.
-  double b_state = 1.0;
-  double b_saw = 0.0;
-  sim.ScheduleCompute(
-      1.0, /*worker_key=*/0, [] { return 0.0; },
-      [&](double) {
-        sim.NotifyStateWrite(1);
-        b_state = 100.0;
-      });
-  sim.ScheduleCompute(
-      2.0, /*worker_key=*/1,
-      [&b_state] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        return b_state;
-      },
-      [&](double value) { b_saw = value; });
-  sim.RunUntilIdle();
-  EXPECT_DOUBLE_EQ(b_saw, 100.0);
-  EXPECT_EQ(backend.stats().computes_speculated, 2);
-  EXPECT_EQ(backend.stats().computes_redispatched, 1);
-  EXPECT_EQ(backend.stats().computes_recomputed, 0);
-}
-
-TEST(AsyncPipelineBackendTest, DoubleInvalidationStaysOrdered) {
-  // Two earlier commits both write key 3's state; each invalidation must
-  // wait out the in-flight (re-)evaluation and trigger a fresh one, so the
-  // final commit sees the value after the SECOND write.
-  ThreadPool pool(4);
-  AsyncPipelineBackend backend(&pool, /*reorder_window=*/4);
-  EventSimulator sim;
-  sim.set_backend(&backend);
-  double state = 1.0;  // owned by key 3; protected by the notify protocol
-  double d_saw = 0.0;
-  sim.ScheduleCompute(
-      1.0, /*worker_key=*/0, [] { return 0.0; },
-      [&](double) {
-        sim.NotifyStateWrite(3);
-        state = 10.0;
-      });
-  sim.ScheduleCompute(
-      2.0, /*worker_key=*/1, [] { return 0.0; },
-      [&](double) {
-        sim.NotifyStateWrite(3);
-        state = 20.0;
-      });
-  sim.ScheduleCompute(
-      3.0, /*worker_key=*/2, [] { return 0.0; }, [](double) {});
-  sim.ScheduleCompute(
-      4.0, /*worker_key=*/3,
-      [&state] { return state; },
-      [&](double value) { d_saw = value; });
-  sim.RunUntilIdle();
-  EXPECT_DOUBLE_EQ(d_saw, 20.0);
-  EXPECT_EQ(backend.stats().computes_redispatched, 2);
-  EXPECT_EQ(backend.stats().computes_recomputed, 0);
-}
-
-TEST(AsyncPipelineBackendTest, SameKeyChainsNeverOverlapInTheWindow) {
-  // Three chained computes on one key (each reads what the previous commit
-  // wrote) with a distinct-key event interleaved: the window must never
-  // evaluate a same-key successor before its predecessor commits, so the
-  // chain sees 0, 1, 2 exactly like serial dispatch.
-  ThreadPool pool(4);
-  AsyncPipelineBackend backend(&pool, /*reorder_window=*/4);
-  EventSimulator sim;
-  sim.set_backend(&backend);
-  double state = 0.0;  // owned by key 0; only key-0 halves touch it
-  std::vector<double> seen;
-  for (int i = 0; i < 3; ++i) {
-    sim.ScheduleCompute(
-        /*time=*/1.0 + i, /*worker_key=*/0, [&state] { return state; },
-        [&sim, &state, &seen](double value) {
-          seen.push_back(value);
-          sim.NotifyStateWrite(0);
-          state += 1.0;
-        });
-  }
-  sim.ScheduleCompute(
-      1.5, /*worker_key=*/1, [] { return -1.0; },
-      [&seen](double value) { seen.push_back(value); });
-  sim.RunUntilIdle();
-  EXPECT_EQ(seen, (std::vector<double>{0.0, -1.0, 1.0, 2.0}));
-  EXPECT_EQ(backend.stats().computes_recomputed, 0);
-}
-
 // --- cross-backend bit-identity on a chained mini workload ------------------
 
 // Per-key compute chains whose commits couple neighboring keys (like
 // consensus pulls) with skewed per-key sleep times: the event trace must be
-// identical across serial dispatch, the speculative frontier, and every
-// async window size.
+// identical across serial dispatch and the speculative frontier at every
+// pool size.
 std::vector<double> RunChainedWorkload(net::ExecutionBackend* backend) {
   EventSimulator sim;
   sim.set_backend(backend);
@@ -369,13 +155,12 @@ std::vector<double> RunChainedWorkload(net::ExecutionBackend* backend) {
 
 TEST(ExecutionBackendDeterminismTest, AllBackendsProduceTheSerialTrace) {
   const std::vector<double> reference = RunChainedWorkload(nullptr);
+  ThreadPool small_pool(1);
   ThreadPool pool(4);
   std::vector<std::unique_ptr<net::ExecutionBackend>> backends;
   backends.push_back(std::make_unique<SerialBackend>());
+  backends.push_back(std::make_unique<SpeculativeBackend>(&small_pool));
   backends.push_back(std::make_unique<SpeculativeBackend>(&pool));
-  for (const int window : {0, 1, 4}) {
-    backends.push_back(std::make_unique<AsyncPipelineBackend>(&pool, window));
-  }
   for (const auto& backend : backends) {
     const std::vector<double> trace = RunChainedWorkload(backend.get());
     ASSERT_EQ(trace.size(), reference.size()) << backend->name();

@@ -158,7 +158,7 @@ TEST(HarnessTest, HierarchicalTopologyBuildsClusteredGossipGraph) {
 }
 
 TEST(HarnessTest, EventQueueChoiceNeverChangesResults) {
-  // A full engine run on the hierarchical topology under all four queue
+  // A full engine run on the hierarchical topology under both queue
   // implementations: the (time, sequence) order is a strict total order, so
   // every result field must match bit-for-bit; only RunResult.event_queue
   // (a diagnostic) differs.
@@ -169,8 +169,7 @@ TEST(HarnessTest, EventQueueChoiceNeverChangesResults) {
   config.threads = 1;
   std::vector<RunResult> results;
   for (const net::EventQueueKind kind :
-       {net::EventQueueKind::kSortedVector, net::EventQueueKind::kBinaryHeap,
-        net::EventQueueKind::kCalendar, net::EventQueueKind::kPairingHeap}) {
+       {net::EventQueueKind::kSortedVector, net::EventQueueKind::kCalendar}) {
     config.event_queue = kind;
     const auto algorithm = algos::MakeAlgorithm("gossip");
     NETMAX_CHECK_OK(algorithm.status());

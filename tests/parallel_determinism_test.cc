@@ -3,10 +3,11 @@
 // must be bit-identical between the serial dispatch (threads=1) and the
 // pooled two-phase dispatch (threads=8), across every intra-worker shard
 // count (the gradient is defined over a fixed leaf decomposition and tree
-// reduction, ml/sharding.h), and across every execution backend and async
-// reorder-window size (core/execution_backend.h). This is the contract that
-// lets the benches and golden tests run at any {backend, reorder_window,
-// threads, shards} point.
+// reduction, ml/sharding.h), and across both event queues
+// (net/event_queue.h). The thread count also picks the execution backend
+// (core/execution_backend.h): serial at threads=1, speculative above. This
+// is the contract that lets the benches and golden tests run at any
+// {threads, shards, event queue} point.
 
 #include <string>
 #include <vector>
@@ -14,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "algos/registry.h"
-#include "core/execution_backend.h"
 #include "core/experiment.h"
 #include "ml/compression.h"
 #include "net/event_queue.h"
@@ -23,26 +23,9 @@
 namespace netmax {
 namespace {
 
-using core::ExecutionBackendKind;
 using core::ExperimentConfig;
 using core::NetworkScenario;
 using core::RunResult;
-
-// Sanitizer builds run the process backend in its in-process inline mode
-// (no fork, so no cross-process waves) — see core/process_backend.h.
-bool SanitizerBuild() {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  return true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  return true;
-#else
-  return false;
-#endif
-#else
-  return false;
-#endif
-}
 
 ExperimentConfig BaseConfig() {
   ExperimentConfig config;
@@ -65,19 +48,11 @@ ExperimentConfig BaseConfig() {
   return config;
 }
 
-RunResult RunWithThreads(
-    const std::string& name, const ExperimentConfig& base, int threads,
-    int shards = 1,
-    ExecutionBackendKind backend = ExecutionBackendKind::kSpeculative,
-    int reorder_window = 0, int procs = 2) {
+RunResult RunWithThreads(const std::string& name, const ExperimentConfig& base,
+                         int threads, int shards = 1) {
   ExperimentConfig config = base;
   config.threads = threads;
   config.shards = shards;
-  config.backend = backend;
-  config.reorder_window = reorder_window;
-  // Only read by the process backend; pinned small so grid tests never fork
-  // one child per hardware core.
-  config.procs = procs;
   auto algorithm = algos::MakeAlgorithm(name);
   NETMAX_CHECK_OK(algorithm.status());
   auto result = (*algorithm)->Run(config);
@@ -140,110 +115,44 @@ TEST_P(ParallelDeterminism, ThreadShardGridBitIdentical) {
   }
 }
 
-TEST_P(ParallelDeterminism, BackendWindowGridBitIdentical) {
-  // The full acceptance grid for the execution-backend seam: backend x
-  // reorder_window x threads x shards, every point bit-identical to the
-  // fully serial unsharded reference. A leaner config than BaseConfig keeps
-  // the 36-point grid affordable; batch 24 = three gradient leaves, so
-  // shards=2 still splits leaf ranges unevenly. reorder_window only matters
-  // for the async backend (and only with a pool), but the grid runs every
-  // combination anyway — that serial/speculative ignore the knob, and that
-  // threads=1 collapses every backend to serial dispatch, is exactly what
-  // the contract promises.
+TEST_P(ParallelDeterminism, ThreadQueueGridBitIdentical) {
+  // The full acceptance grid for the execution seams: threads (which picks
+  // the backend) x shards x event queue, every point bit-identical to the
+  // fully serial unsharded run on the sorted-vector ordering reference. A
+  // leaner config than BaseConfig keeps the 16-point grid affordable; batch
+  // 24 = three gradient leaves, so shards=2 still splits leaf ranges
+  // unevenly.
   ExperimentConfig config = BaseConfig();
   config.dataset.num_train = 256;
   config.dataset.num_test = 64;
   config.batch_size = 24;
   config.max_epochs = 1;
+  config.event_queue = net::EventQueueKind::kSortedVector;
   const RunResult reference = RunWithThreads(GetParam(), config, 1, 1);
-  for (const ExecutionBackendKind backend :
-       {ExecutionBackendKind::kSerial, ExecutionBackendKind::kSpeculative,
-        ExecutionBackendKind::kAsyncPipeline,
-        ExecutionBackendKind::kProcessPool}) {
-    // The process backend ignores reorder_window (serial event semantics)
-    // and forces threads to 1; one window value keeps the grid affordable
-    // while {threads, shards} still vary the ignored knobs.
-    const auto windows =
-        backend == ExecutionBackendKind::kProcessPool
-            ? std::vector<int>{0}
-            : std::vector<int>{0, 1, 4};
-    for (const int reorder_window : windows) {
-      for (const int threads : {1, 8}) {
-        for (const int shards : {1, 2}) {
-          const RunResult run = RunWithThreads(
-              GetParam(), config, threads, shards, backend, reorder_window);
-          SCOPED_TRACE(std::string("backend=") + run.backend +
-                       " window=" + std::to_string(reorder_window) +
-                       " threads=" + std::to_string(threads) +
-                       " shards=" + std::to_string(shards));
-          ExpectBitIdentical(reference, run);
-          EXPECT_EQ(run.computes_recomputed, 0);
-        }
+  for (const net::EventQueueKind queue :
+       {net::EventQueueKind::kSortedVector, net::EventQueueKind::kCalendar}) {
+    config.event_queue = queue;
+    for (const int threads : {1, 2, 4, 8}) {
+      for (const int shards : {1, 2}) {
+        const RunResult run = RunWithThreads(GetParam(), config, threads,
+                                             shards);
+        SCOPED_TRACE(std::string("queue=") + run.event_queue +
+                     " backend=" + run.backend +
+                     " threads=" + std::to_string(threads) +
+                     " shards=" + std::to_string(shards));
+        EXPECT_EQ(run.backend, threads == 1 ? "serial" : "speculative");
+        ExpectBitIdentical(reference, run);
+        EXPECT_EQ(run.computes_recomputed, 0);
       }
     }
   }
-}
-
-TEST(ParallelDeterminismTest, ProcessBackendForksAndMatchesAtAnyProcCount) {
-  // The fork + MAP_SHARED backend: bits identical to the serial reference
-  // for 1, 2, and 3 children (the leaf split is procs-stable geometry over
-  // the same fixed decomposition), with real waves fanning out whenever
-  // procs >= 2 and no child deaths on the healthy path.
-  ExperimentConfig config = BaseConfig();
-  config.dataset.num_train = 256;
-  config.dataset.num_test = 64;
-  config.batch_size = 24;
-  config.max_epochs = 1;
-  const RunResult reference =
-      RunWithThreads("netmax", config, 1, 1, ExecutionBackendKind::kSerial);
-  for (const int procs : {1, 2, 3}) {
-    SCOPED_TRACE(procs);
-    const RunResult run =
-        RunWithThreads("netmax", config, 1, 1,
-                       ExecutionBackendKind::kProcessPool, 0, procs);
-    EXPECT_EQ(run.backend, "process");
-    ExpectBitIdentical(reference, run);
-    EXPECT_EQ(run.process_child_deaths, 0);
-    EXPECT_EQ(run.process_ranges_redispatched, 0);
-    if (procs >= 2 && !SanitizerBuild()) {
-      // Inline mode (sanitizer builds) evaluates in-process: no waves.
-      EXPECT_GT(run.parallel_batches, 0);
-    }
-  }
-}
-
-TEST(ParallelDeterminismTest, AsyncPipelineActuallyOverlapsAndRedispatches) {
-  // The async backend must put real compute halves in the window (not
-  // silently degrade to inline dispatch) and resolve consensus
-  // invalidations through re-dispatch, for a window of any useful size.
-  const ExperimentConfig config = BaseConfig();
-  for (const int reorder_window : {1, 4}) {
-    const RunResult run =
-        RunWithThreads("netmax", config, 8, 1,
-                       ExecutionBackendKind::kAsyncPipeline, reorder_window);
-    SCOPED_TRACE(reorder_window);
-    EXPECT_EQ(run.backend, "async");
-    EXPECT_GT(run.computes_speculated, 0);
-    EXPECT_EQ(run.computes_recomputed, 0);
-    if (reorder_window > 1) {
-      // With real window depth the consensus writes must hit
-      // window-resident entries.
-      EXPECT_GT(run.computes_redispatched, 0);
-      EXPECT_GT(run.parallel_batches, 0);
-    }
-  }
-  // Window 0 is synchronous: the async backend runs everything inline.
-  const RunResult sync = RunWithThreads(
-      "netmax", config, 8, 1, ExecutionBackendKind::kAsyncPipeline, 0);
-  EXPECT_EQ(sync.backend, "async");
-  EXPECT_EQ(sync.computes_speculated, 0);
 }
 
 TEST_P(ParallelDeterminism, FaultScheduleBitIdenticalAcrossExecutionPoints) {
   // Fault injection rides the simulator's ordinary (time, sequence) event
   // scheduling, so a faulted run must be exactly as reproducible as a
   // fault-free one: same bits — including the fault counters themselves —
-  // on every backend, thread count, and shard split, under both dead-peer
+  // on every thread count, shard split, and event queue, under both dead-peer
   // policies. The pinned schedule is a straggler plus a leave/rejoin whose
   // times land inside every engine's run at this scale (the fastest engine
   // finishes its gradient evaluations within a fraction of a virtual
@@ -262,32 +171,30 @@ TEST_P(ParallelDeterminism, FaultScheduleBitIdenticalAcrossExecutionPoints) {
   config.peer_poll_seconds = 0.4;
 
   struct ExecutionPoint {
-    ExecutionBackendKind backend;
     int threads;
     int shards;
-    int reorder_window;
+    net::EventQueueKind queue;
   };
   const ExecutionPoint points[] = {
-      {ExecutionBackendKind::kSpeculative, 8, 1, 0},
-      {ExecutionBackendKind::kSpeculative, 8, 2, 0},
-      {ExecutionBackendKind::kAsyncPipeline, 8, 1, 4},
+      {8, 1, net::EventQueueKind::kCalendar},
+      {8, 2, net::EventQueueKind::kCalendar},
+      {4, 1, net::EventQueueKind::kSortedVector},
   };
   for (const core::PeerPolicy policy :
        {core::PeerPolicy::kWait, core::PeerPolicy::kTimeoutAndContinue}) {
     config.peer_policy = policy;
-    const RunResult reference = RunWithThreads(
-        GetParam(), config, 1, 1, ExecutionBackendKind::kSerial);
+    const RunResult reference = RunWithThreads(GetParam(), config, 1, 1);
     // The schedule must actually fire (all three scripted events).
     EXPECT_EQ(reference.faults_injected, 3);
     for (const ExecutionPoint& point : points) {
+      ExperimentConfig point_config = config;
+      point_config.event_queue = point.queue;
       SCOPED_TRACE("policy=" + std::string(core::PeerPolicyName(policy)) +
-                   " backend=" + std::to_string(static_cast<int>(
-                         point.backend)) +
                    " threads=" + std::to_string(point.threads) +
-                   " shards=" + std::to_string(point.shards));
-      const RunResult run =
-          RunWithThreads(GetParam(), config, point.threads, point.shards,
-                         point.backend, point.reorder_window);
+                   " shards=" + std::to_string(point.shards) + " queue=" +
+                   std::string(net::EventQueueKindName(point.queue)));
+      const RunResult run = RunWithThreads(GetParam(), point_config,
+                                           point.threads, point.shards);
       ExpectBitIdentical(reference, run);
       EXPECT_EQ(reference.faults_injected, run.faults_injected);
       EXPECT_EQ(reference.rounds_degraded, run.rounds_degraded);
@@ -300,8 +207,8 @@ TEST_P(ParallelDeterminism, CompressionBitIdenticalAcrossExecutionPoints) {
   // Gradient compression draws from the committing worker's RNG stream
   // (int8) and reads the per-worker communication-round counter (layerwise),
   // both of which only move in commit contexts — so a compressed run must be
-  // exactly as reproducible as an uncompressed one across backends, reorder
-  // windows, thread counts, shard splits, and event-queue backends. One
+  // exactly as reproducible as an uncompressed one across thread counts
+  // (and so backends), shard splits, and event queues. One
   // variant per encoding family; the reference is the fully serial unsharded
   // run of the same spec.
   ExperimentConfig config = BaseConfig();
@@ -311,42 +218,33 @@ TEST_P(ParallelDeterminism, CompressionBitIdenticalAcrossExecutionPoints) {
   config.max_epochs = 1;
 
   struct ExecutionPoint {
-    ExecutionBackendKind backend;
     int threads;
     int shards;
-    int reorder_window;
     net::EventQueueKind queue;
   };
   const ExecutionPoint points[] = {
-      {ExecutionBackendKind::kSpeculative, 8, 1, 0,
-       net::EventQueueKind::kSortedVector},
-      {ExecutionBackendKind::kSpeculative, 8, 2, 0,
-       net::EventQueueKind::kBinaryHeap},
-      {ExecutionBackendKind::kAsyncPipeline, 8, 1, 4,
-       net::EventQueueKind::kCalendar},
-      {ExecutionBackendKind::kProcessPool, 1, 1, 0,
-       net::EventQueueKind::kPairingHeap},
+      {8, 1, net::EventQueueKind::kSortedVector},
+      {8, 2, net::EventQueueKind::kCalendar},
+      {2, 1, net::EventQueueKind::kCalendar},
+      {1, 1, net::EventQueueKind::kSortedVector},
   };
   for (const char* spec_text : {"topk:0.1", "int8", "layerwise:2"}) {
     auto spec = ml::ParseCompressionSpec(spec_text);
     NETMAX_CHECK_OK(spec.status());
     config.compress = *spec;
-    const RunResult reference = RunWithThreads(
-        GetParam(), config, 1, 1, ExecutionBackendKind::kSerial);
+    const RunResult reference = RunWithThreads(GetParam(), config, 1, 1);
     // Compression must actually bite: bytes came off the wire.
     EXPECT_GT(reference.messages_sent, 0) << spec_text;
     EXPECT_GT(reference.bytes_saved, 0) << spec_text;
     for (const ExecutionPoint& point : points) {
       ExperimentConfig point_config = config;
       point_config.event_queue = point.queue;
-      SCOPED_TRACE(std::string("compress=") + spec_text + " backend=" +
-                   std::to_string(static_cast<int>(point.backend)) +
+      SCOPED_TRACE(std::string("compress=") + spec_text +
                    " threads=" + std::to_string(point.threads) +
                    " shards=" + std::to_string(point.shards) + " queue=" +
                    std::string(net::EventQueueKindName(point.queue)));
-      const RunResult run =
-          RunWithThreads(GetParam(), point_config, point.threads,
-                         point.shards, point.backend, point.reorder_window);
+      const RunResult run = RunWithThreads(GetParam(), point_config,
+                                           point.threads, point.shards);
       ExpectBitIdentical(reference, run);
     }
   }

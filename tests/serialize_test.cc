@@ -125,6 +125,21 @@ TEST(SerializeTest, TruncationIsOutOfRangeNotUb) {
   }
 }
 
+// A length field of 2^61 wraps `size * 8` to 0 in 64 bits. The length
+// checks are in division form, so the huge length is OutOfRange instead of
+// passing the check and aborting in reserve.
+TEST(SerializeTest, HugeVectorLengthIsOutOfRangeNotAnAbort) {
+  Serializer out;
+  out.WriteU64(uint64_t{1} << 61);
+  std::vector<double> doubles;
+  Deserializer doubles_in(out.bytes());
+  EXPECT_EQ(doubles_in.ReadDoubleVec(&doubles).code(),
+            StatusCode::kOutOfRange);
+  std::vector<int> ints;
+  Deserializer ints_in(out.bytes());
+  EXPECT_EQ(ints_in.ReadIntVec(&ints).code(), StatusCode::kOutOfRange);
+}
+
 TEST(SerializeTest, ReadIntRejectsValuesThatDoNotFit) {
   Serializer out;
   out.WriteI64(static_cast<int64_t>(std::numeric_limits<int>::max()) + 1);

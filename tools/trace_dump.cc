@@ -1,8 +1,8 @@
 // Canonical golden-trace dump: runs one registered algorithm on the pinned
 // golden-trace experiment and prints the deterministic subset of its
 // RunResult — every double as an exact IEEE-754 hexfloat — so the output is
-// byte-comparable across compilers, optimization levels, thread counts, and
-// execution backends (the contract the determinism test suite enforces).
+// byte-comparable across compilers, optimization levels, and event queues
+// (the contract the determinism test suite enforces).
 //
 // tools/golden_trace.py drives this binary against the pinned traces in
 // tests/golden_trace/: any bit of drift in simulation output fails CI, and
@@ -122,28 +122,12 @@ Status DumpTrace(const std::string& request) {
     compress_spec = kLayerwiseSpec;
   }
   core::ExperimentConfig config = GoldenConfig();
-  // NETMAX_EVENT_QUEUE selects the event-queue backend without perturbing
-  // the pinned config: every backend must reproduce the same trace bytes,
-  // which is exactly what CI's determinism lane diffs.
+  // NETMAX_EVENT_QUEUE=vector swaps in the ordering-reference queue without
+  // perturbing the pinned config: both queues must reproduce the same trace
+  // bytes, which is exactly what CI's golden-trace gate checks.
   if (const char* queue_env = std::getenv("NETMAX_EVENT_QUEUE")) {
     NETMAX_ASSIGN_OR_RETURN(config.event_queue,
                             net::ParseEventQueueKind(queue_env));
-  }
-  // NETMAX_BACKEND / NETMAX_PROCS select the execution backend the same way:
-  // every backend (including the forked process pool) must reproduce the
-  // same trace bytes, and the determinism lane diffs process against serial.
-  if (const char* backend_env = std::getenv("NETMAX_BACKEND")) {
-    if (!core::ParseExecutionBackendKind(backend_env, &config.backend)) {
-      return InvalidArgumentError(std::string("bad NETMAX_BACKEND value: ") +
-                                  backend_env);
-    }
-  }
-  if (const char* procs_env = std::getenv("NETMAX_PROCS")) {
-    config.procs = std::atoi(procs_env);
-    if (config.procs <= 0) {
-      return InvalidArgumentError(std::string("bad NETMAX_PROCS value: ") +
-                                  procs_env);
-    }
   }
   if (fault_mode) {
     NETMAX_ASSIGN_OR_RETURN(config.faults,
