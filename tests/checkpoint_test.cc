@@ -125,36 +125,65 @@ TEST_P(CheckpointRoundTrip, AllBackendsBitIdentical) {
 }
 
 // A checkpoint written by the serial backend restores bit-identically on the
-// speculative backend, and one written by the speculative backend at
-// threads=8 restores bit-identically at threads=1 and under the
-// sorted-vector queue: the checkpoint fingerprint covers the simulation
-// config only, and the bytes carry no execution-strategy state.
+// speculative backend and under the sorted-vector queue: the bytes carry no
+// execution-strategy state.
 TEST_P(CheckpointRoundTrip, CheckpointsAreBackendPortable) {
   const ExperimentConfig base = BaseConfig();
   const RunResult reference = MustRun(GetParam(), base);
   ASSERT_GT(reference.total_virtual_seconds, 0.0);
-  for (const int writer_threads : {1, 8}) {
-    SCOPED_TRACE(writer_threads);
-    std::vector<uint8_t> checkpoint;
-    ExperimentConfig with_checkpoint = base;
-    with_checkpoint.threads = writer_threads;
-    with_checkpoint.checkpoint_at_seconds =
-        0.5 * reference.total_virtual_seconds;
-    with_checkpoint.checkpoint_sink = &checkpoint;
-    MustRun(GetParam(), with_checkpoint);
-    ASSERT_FALSE(checkpoint.empty());
+  std::vector<uint8_t> checkpoint;
+  ExperimentConfig with_checkpoint = base;
+  with_checkpoint.checkpoint_at_seconds =
+      0.5 * reference.total_virtual_seconds;
+  with_checkpoint.checkpoint_sink = &checkpoint;
+  MustRun(GetParam(), with_checkpoint);
+  ASSERT_FALSE(checkpoint.empty());
 
-    ExperimentConfig resumed = base;
-    resumed.threads = writer_threads == 1 ? 8 : 1;
-    resumed.restore_source = &checkpoint;
-    const RunResult restored = MustRun(GetParam(), resumed);
-    EXPECT_EQ(restored.backend,
-              writer_threads == 1 ? "speculative" : "serial");
-    ExpectBitIdentical(reference, restored);
+  ExperimentConfig resumed = base;
+  resumed.threads = 8;
+  resumed.restore_source = &checkpoint;
+  const RunResult restored = MustRun(GetParam(), resumed);
+  EXPECT_EQ(restored.backend, "speculative");
+  ExpectBitIdentical(reference, restored);
 
-    resumed.event_queue = net::EventQueueKind::kSortedVector;
-    ExpectBitIdentical(reference, MustRun(GetParam(), resumed));
-  }
+  resumed.event_queue = net::EventQueueKind::kSortedVector;
+  ExpectBitIdentical(reference, MustRun(GetParam(), resumed));
+}
+
+// Cross-config restore: a checkpoint written by the speculative backend under
+// a full thread pool restores bit-identically under a smaller sharded pool
+// and back under serial. The checkpoint fingerprint covers the simulation
+// config only — backend, threads and shards are real-machine choices — so
+// both restores must accept the bytes and finish on the reference's bits.
+// (The name predates the removal of the multi-process backend, whose restore
+// leg is now the threads=2, shards=2 one.)
+TEST_P(CheckpointRoundTrip, SpeculativeCheckpointRestoresUnderProcessBackend) {
+  const ExperimentConfig base = BaseConfig();
+  const RunResult reference = MustRun(GetParam(), base);
+  ASSERT_GT(reference.total_virtual_seconds, 0.0);
+
+  std::vector<uint8_t> checkpoint;
+  ExperimentConfig with_checkpoint = base;
+  with_checkpoint.threads = 8;
+  with_checkpoint.checkpoint_at_seconds =
+      0.5 * reference.total_virtual_seconds;
+  with_checkpoint.checkpoint_sink = &checkpoint;
+  MustRun(GetParam(), with_checkpoint);
+  ASSERT_FALSE(checkpoint.empty());
+
+  ExperimentConfig under_small_pool = base;
+  under_small_pool.threads = 2;
+  under_small_pool.shards = 2;
+  under_small_pool.restore_source = &checkpoint;
+  const RunResult pool_restored = MustRun(GetParam(), under_small_pool);
+  EXPECT_EQ(pool_restored.backend, "speculative");
+  ExpectBitIdentical(reference, pool_restored);
+
+  ExperimentConfig under_serial = base;
+  under_serial.restore_source = &checkpoint;
+  const RunResult serial_restored = MustRun(GetParam(), under_serial);
+  EXPECT_EQ(serial_restored.backend, "serial");
+  ExpectBitIdentical(reference, serial_restored);
 }
 
 // The crash-recovery contract: a run killed by a crash@T fault, restored
