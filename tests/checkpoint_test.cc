@@ -244,6 +244,82 @@ TEST_P(CheckpointRoundTrip, CrashRestoreFromPeriodicCheckpoint) {
   EXPECT_EQ(want.peers_timed_out, got.peers_timed_out);
 }
 
+// Worker 1 straggles and worker 2 is dead from 10% to 80% of the fault-free
+// run's virtual duration `t`; a crash at `crash_fraction * t` (when > 0)
+// halts the run there.
+net::FaultSchedule DeadWindowSchedule(double t, double crash_fraction) {
+  auto at = [t](double fraction) { return std::to_string(fraction * t); };
+  std::string spec = "slow@" + at(0.05) + "+" + at(0.2) + "x4:w1;leave@" +
+                     at(0.1) + ":w2;";
+  if (crash_fraction > 0.0) spec += "crash@" + at(crash_fraction) + ";";
+  spec += "join@" + at(0.8) + ":w2";
+  auto schedule = net::FaultSchedule::Parse(spec);
+  NETMAX_CHECK_OK(schedule.status());
+  return *schedule;
+}
+
+// A checkpoint taken while a worker is dead captures the dead-peer machinery
+// mid-flight: pending peer-wait re-probes and timeout deadlines, degraded
+// local steps, a synchronous round blocked on the dead worker, and parked
+// iteration chains that the later join must restart. Restoring those from
+// the checkpoint bytes — under both dead-peer policies, serially and on a
+// pool — must finish on the uninterrupted run's bits, fault counters
+// included.
+TEST_P(CheckpointRoundTrip, CheckpointInsideDeadWindowBitIdentical) {
+  ExperimentConfig base = BaseConfig();
+  base.dataset.num_train = 1024;  // 16 iterations per worker: a long window
+  base.peer_timeout_seconds = 1.0;
+  base.peer_poll_seconds = 0.4;
+  const double fault_free = MustRun(GetParam(), base).total_virtual_seconds;
+  ASSERT_GT(fault_free, 0.0);
+  base.faults = DeadWindowSchedule(fault_free, 0.0);
+  // Midway between the leave (10%) and the join (80%).
+  constexpr double kCheckpointFraction = 0.45;
+
+  for (const core::PeerPolicy policy :
+       {core::PeerPolicy::kWait, core::PeerPolicy::kTimeoutAndContinue}) {
+    SCOPED_TRACE("policy=" + std::string(core::PeerPolicyName(policy)));
+    base.peer_policy = policy;
+    const RunResult reference = MustRun(GetParam(), base);
+    EXPECT_EQ(reference.faults_injected, 3);
+
+    // A crash at the checkpoint time halts the run right there and reports
+    // the counters so far: the dead window has already degraded rounds when
+    // the checkpoint is taken. Two engines have nothing to degrade there:
+    // PS-async's server never dies (the dead worker just parks its chain),
+    // and Prague under wait forms its groups from the live workers.
+    ExperimentConfig halted_config = base;
+    halted_config.faults = DeadWindowSchedule(fault_free, kCheckpointFraction);
+    const RunResult halted = MustRun(GetParam(), halted_config);
+    const bool degrades =
+        GetParam() != "ps-async" &&
+        !(GetParam() == "prague" && policy == core::PeerPolicy::kWait);
+    if (degrades) {
+      EXPECT_GT(halted.rounds_degraded, 0);
+    }
+
+    for (const int threads : {1, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      std::vector<uint8_t> checkpoint;
+      ExperimentConfig with_checkpoint = base;
+      with_checkpoint.threads = threads;
+      with_checkpoint.checkpoint_at_seconds = kCheckpointFraction * fault_free;
+      with_checkpoint.checkpoint_sink = &checkpoint;
+      MustRun(GetParam(), with_checkpoint);
+      ASSERT_FALSE(checkpoint.empty());
+
+      ExperimentConfig resumed = base;
+      resumed.threads = threads;
+      resumed.restore_source = &checkpoint;
+      const RunResult restored = MustRun(GetParam(), resumed);
+      ExpectBitIdentical(reference, restored);
+      EXPECT_EQ(reference.faults_injected, restored.faults_injected);
+      EXPECT_EQ(reference.rounds_degraded, restored.rounds_degraded);
+      EXPECT_EQ(reference.peers_timed_out, restored.peers_timed_out);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, CheckpointRoundTrip,
                          ::testing::ValuesIn(algos::AlgorithmNames()));
 

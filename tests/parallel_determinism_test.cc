@@ -10,6 +10,7 @@
 // {threads, shards, event queue} point.
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -148,28 +149,14 @@ TEST_P(ParallelDeterminism, ThreadQueueGridBitIdentical) {
   }
 }
 
-TEST_P(ParallelDeterminism, FaultScheduleBitIdenticalAcrossExecutionPoints) {
-  // Fault injection rides the simulator's ordinary (time, sequence) event
-  // scheduling, so a faulted run must be exactly as reproducible as a
-  // fault-free one: same bits — including the fault counters themselves —
-  // on every thread count, shard split, and event queue, under both dead-peer
-  // policies. The pinned schedule is a straggler plus a leave/rejoin whose
-  // times land inside every engine's run at this scale (the fastest engine
-  // finishes its gradient evaluations within a fraction of a virtual
-  // second), and whose dead window (1.1s) outlives the 1-second deadline so
-  // the timeout policy actually expires it.
-  ExperimentConfig config = BaseConfig();
-  config.dataset.num_train = 256;
-  config.dataset.num_test = 64;
-  config.batch_size = 24;
-  config.max_epochs = 1;
-  auto faults =
-      net::FaultSchedule::Parse("slow@0.05+0.5x4:w1;leave@0.1:w2;join@1.2:w2");
-  NETMAX_CHECK_OK(faults.status());
-  config.faults = *faults;
+// Runs `config` (which carries a fault schedule) under both dead-peer
+// policies: serially as the reference and at three more {threads, shards,
+// event queue} points, every one bit-identical to the reference — fault
+// counters included. Returns the serial references, wait first.
+std::vector<RunResult> ExpectFaultRunsBitIdentical(const std::string& name,
+                                                   ExperimentConfig config) {
   config.peer_timeout_seconds = 1.0;
   config.peer_poll_seconds = 0.4;
-
   struct ExecutionPoint {
     int threads;
     int shards;
@@ -180,10 +167,11 @@ TEST_P(ParallelDeterminism, FaultScheduleBitIdenticalAcrossExecutionPoints) {
       {8, 2, net::EventQueueKind::kCalendar},
       {4, 1, net::EventQueueKind::kSortedVector},
   };
+  std::vector<RunResult> references;
   for (const core::PeerPolicy policy :
        {core::PeerPolicy::kWait, core::PeerPolicy::kTimeoutAndContinue}) {
     config.peer_policy = policy;
-    const RunResult reference = RunWithThreads(GetParam(), config, 1, 1);
+    RunResult reference = RunWithThreads(name, config, 1, 1);
     // The schedule must actually fire (all three scripted events).
     EXPECT_EQ(reference.faults_injected, 3);
     for (const ExecutionPoint& point : points) {
@@ -193,13 +181,59 @@ TEST_P(ParallelDeterminism, FaultScheduleBitIdenticalAcrossExecutionPoints) {
                    " threads=" + std::to_string(point.threads) +
                    " shards=" + std::to_string(point.shards) + " queue=" +
                    std::string(net::EventQueueKindName(point.queue)));
-      const RunResult run = RunWithThreads(GetParam(), point_config,
-                                           point.threads, point.shards);
+      const RunResult run =
+          RunWithThreads(name, point_config, point.threads, point.shards);
       ExpectBitIdentical(reference, run);
       EXPECT_EQ(reference.faults_injected, run.faults_injected);
       EXPECT_EQ(reference.rounds_degraded, run.rounds_degraded);
       EXPECT_EQ(reference.peers_timed_out, run.peers_timed_out);
     }
+    references.push_back(std::move(reference));
+  }
+  return references;
+}
+
+TEST_P(ParallelDeterminism, FaultScheduleBitIdenticalAcrossExecutionPoints) {
+  // Fault injection rides the simulator's ordinary (time, sequence) event
+  // scheduling, so a faulted run must be exactly as reproducible as a
+  // fault-free one: same bits — including the fault counters themselves —
+  // on every thread count, shard split, and event queue, under both dead-peer
+  // policies. The first schedule is a straggler plus a leave/rejoin whose
+  // times land inside every engine's run at a lean scale (the fastest engine
+  // finishes its gradient evaluations within a fraction of a virtual
+  // second), with a dead window (1.1s) that outlives the 1-second deadline.
+  ExperimentConfig lean = BaseConfig();
+  lean.dataset.num_train = 256;
+  lean.dataset.num_test = 64;
+  lean.batch_size = 24;
+  lean.max_epochs = 1;
+  auto faults =
+      net::FaultSchedule::Parse("slow@0.05+0.5x4:w1;leave@0.1:w2;join@1.2:w2");
+  NETMAX_CHECK_OK(faults.status());
+  lean.faults = *faults;
+  ExpectFaultRunsBitIdentical(GetParam(), lean);
+
+  // The second schedule keeps worker 2 dead for 11 virtual seconds of a
+  // full-size run, long enough that the dead-peer paths run rather than
+  // being skipped: a pull engine draws the dead peer (and, under timeout,
+  // gives up on it), and a synchronous round engine blocks on it or drops
+  // it from the membership.
+  ExperimentConfig full = BaseConfig();
+  faults = net::FaultSchedule::Parse("slow@0.5+2x4:w1;leave@1:w2;join@12:w2");
+  NETMAX_CHECK_OK(faults.status());
+  full.faults = *faults;
+  const std::vector<RunResult> references =
+      ExpectFaultRunsBitIdentical(GetParam(), full);
+  const std::string& name = GetParam();
+  const bool pull_engine = name == "netmax" || name == "adpsgd" ||
+                           name == "adpsgd+monitor" || name == "saps";
+  const bool round_engine = name == "allreduce" || name == "ps-sync";
+  if (pull_engine || round_engine) {
+    EXPECT_GT(references[0].rounds_degraded, 0) << "policy=wait";
+    EXPECT_GT(references[1].rounds_degraded, 0) << "policy=timeout";
+  }
+  if (pull_engine) {
+    EXPECT_GT(references[1].peers_timed_out, 0);
   }
 }
 

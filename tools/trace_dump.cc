@@ -15,10 +15,10 @@
 // Fault variants: "<algorithm>+faults-wait" and "<algorithm>+faults-timeout"
 // run the same pinned experiment under the pinned fault schedule below with
 // the respective dead-peer policy, and append the fault counters to the
-// trace. --list advertises two pinned variants (netmax under wait, allreduce
-// under timeout), so the golden lane also locks down the fault-injection
-// subsystem's bits; plain algorithm traces are byte-identical to before the
-// fault variants existed.
+// trace. --list advertises six pinned variants (netmax under both policies,
+// adpsgd and saps under timeout, allreduce under both policies), so the
+// golden lane also locks down the fault-injection subsystem's bits; plain
+// algorithm traces are byte-identical to before the fault variants existed.
 //
 // Compression variants: "<algorithm>+topk" (top-k 0.1), "<algorithm>+int8",
 // and "<algorithm>+layerwise" (period 2) run the pinned experiment with the
@@ -191,12 +191,16 @@ int main(int argc, char** argv) {
       std::printf("%s\n", name.c_str());
     }
     // The pinned fault variants — both policies on the chain-structured
-    // NetMax engine (the timeout one expires real peer deadlines) plus the
-    // round-structured allreduce under timeout (membership exclusion).
-    // Every other "<algorithm>+faults-{wait,timeout}" spelling also runs,
-    // unpinned.
+    // NetMax engine (the timeout one expires real peer deadlines), the
+    // AD-PSGD and SAPS pull-wait paths under timeout, and the
+    // round-structured allreduce under both policies (blocked rounds and
+    // membership exclusion). Every other "<algorithm>+faults-{wait,timeout}"
+    // spelling also runs, unpinned.
     std::printf("netmax%s\n", netmax::kWaitSuffix);
     std::printf("netmax%s\n", netmax::kTimeoutSuffix);
+    std::printf("adpsgd%s\n", netmax::kTimeoutSuffix);
+    std::printf("saps%s\n", netmax::kTimeoutSuffix);
+    std::printf("allreduce%s\n", netmax::kWaitSuffix);
     std::printf("allreduce%s\n", netmax::kTimeoutSuffix);
     // The pinned compression variants — one per encoding family, spread
     // across the three wire-accounting shapes (directed consensus sends,
