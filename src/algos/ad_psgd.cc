@@ -11,7 +11,6 @@
 #include "core/checkpoint.h"
 #include "core/monitor.h"
 #include "core/policy.h"
-#include "net/fault_schedule.h"
 
 namespace netmax::algos {
 namespace {
@@ -53,10 +52,12 @@ class AdPsgdEngine {
               ExponentialMovingAverage(config_.ema_beta)));
     }
 
-    parked_.assign(static_cast<size_t>(n), 0);
     builder_ = [this](const net::SavedEvent& event) {
       return BuildEvent(event);
     };
+    harness_.SetIterationChain(
+        [this](int w) { StartIteration(w); },
+        [this](int w, int m, double waited) { IssuePull(w, m, waited); });
     if (harness_.restore_requested()) {
       NETMAX_RETURN_IF_ERROR(harness_.Restore(
           [this](Deserializer& in) { return RestoreEngineState(in); },
@@ -70,14 +71,6 @@ class AdPsgdEngine {
     }
     harness_.ArmCheckpoint(
         [this](Serializer& out) { return SaveEngineState(out); });
-    // Restart a rejoining worker's iteration chain iff it parked; a chain
-    // still in flight at rejoin time keeps itself alive.
-    harness_.set_fault_listener([this](const net::FaultEvent& fault) {
-      if (fault.kind == net::FaultKind::kJoin &&
-          parked_[static_cast<size_t>(fault.worker)] != 0) {
-        StartIteration(fault.worker);
-      }
-    });
     harness_.sim().RunUntilIdle();
     NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
     if (monitor_ != nullptr) {
@@ -91,9 +84,6 @@ class AdPsgdEngine {
   enum Tag : int64_t {
     kIterate = 0,  // compute event: args [peer, compute_secs, wall_secs, round]
     kMonitorTick = 1,  // plain event: args []
-    kLocalStep = 2,    // compute event: args [compute_secs, wall_secs]
-    kPeerWait = 3,     // plain event: args [worker, peer, waited_secs]
-    kPeerTimeout = 4,  // plain event: args [worker, peer]
   };
 
   void Emit(double delay, int worker_key, net::EventPayload payload) {
@@ -124,39 +114,6 @@ class AdPsgdEngine {
         rebuilt.plain = [this] { MonitorTick(); };
         return rebuilt;
       }
-      case kLocalStep: {
-        const int w = event.worker_key;
-        if (w < 0 || w >= harness_.num_workers() || args.size() != 2) break;
-        const double compute = args[0];
-        const double wall = args[1];
-        rebuilt.compute = [this, w] { return harness_.EvalBatchGradient(w); };
-        rebuilt.commit = [this, w, compute, wall](double loss) {
-          harness_.CommitBatchStats(w, loss);
-          harness_.ApplyStoredGradient(w);
-          harness_.AccountIteration(w, compute, wall);
-          StartIteration(w);
-        };
-        return rebuilt;
-      }
-      case kPeerWait: {
-        const int n = harness_.num_workers();
-        if (event.worker_key >= 0 || args.size() != 3) break;
-        const int w = static_cast<int>(args[0]);
-        const int m = static_cast<int>(args[1]);
-        const double waited = args[2];
-        if (w < 0 || w >= n || m < 0 || m >= n || m == w) break;
-        rebuilt.plain = [this, w, m, waited] { PeerWaitTick(w, m, waited); };
-        return rebuilt;
-      }
-      case kPeerTimeout: {
-        const int n = harness_.num_workers();
-        if (event.worker_key >= 0 || args.size() != 2) break;
-        const int w = static_cast<int>(args[0]);
-        const int m = static_cast<int>(args[1]);
-        if (w < 0 || w >= n || m < 0 || m >= n || m == w) break;
-        rebuilt.plain = [this, w, m] { PeerTimeoutExpired(w, m); };
-        return rebuilt;
-      }
       default:
         break;
     }
@@ -170,7 +127,6 @@ class AdPsgdEngine {
       core::SaveEmaGrid(out, ema_times_);
       out.WriteI64(monitor_->policies_generated());
     }
-    for (const uint8_t parked : parked_) out.WriteBool(parked != 0);
     return Status::Ok();
   }
 
@@ -189,93 +145,23 @@ class AdPsgdEngine {
       }
       monitor_->set_policies_generated(generated);
     }
-    for (size_t w = 0; w < parked_.size(); ++w) {
-      NETMAX_ASSIGN_OR_RETURN(const bool parked, in.ReadBool());
-      parked_[w] = parked ? 1 : 0;
-    }
     return Status::Ok();
   }
 
   void StartIteration(int w) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
-      return;
-    }
-    parked_[static_cast<size_t>(w)] = 0;
+    if (!harness_.ContinueChain(w)) return;
     core::WorkerRuntime& worker = harness_.worker(w);
     int m = w;
     while (m == w) {
       m = worker.rng.Discrete(policy_->Row(w));
     }
-    if (!harness_.WorkerAlive(m)) {
-      // The drawn peer is dead: hold this iteration per the peer policy; the
-      // batch is sampled only when the pull actually goes out.
-      BeginPeerWait(w, m);
-      return;
-    }
-    const double compute = harness_.EffectiveComputeSeconds(w);
-    const int64_t round = harness_.NextCommRound(w);
-    const double transfer = harness_.SendSeconds(m, w, round);
-    // Gradient computation overlaps the pull; the evaluation itself is the
-    // pure compute half and everything stateful commits in event order.
-    harness_.SampleBatch(w);
-    const double wall = std::max(compute, transfer);
-    Emit(wall, w,
-         {kIterate,
-          {static_cast<double>(m), compute, wall,
-           static_cast<double>(round)}});
+    harness_.PullFrom(w, m);
   }
 
-  // Dead-peer handling, one episode per StartIteration that drew a dead
-  // peer: kWait re-probes at the poll cadence until the peer returns (or the
-  // run's time cap parks the worker); kTimeoutAndContinue arms one deadline,
-  // after which the worker takes a plain local step instead.
-  void BeginPeerWait(int w, int m) {
-    harness_.CountDegradedRound();
-    if (harness_.config().peer_policy ==
-        core::PeerPolicy::kTimeoutAndContinue) {
-      Emit(config_.peer_timeout_seconds, core::kPlainEvent,
-           {kPeerTimeout, {static_cast<double>(w), static_cast<double>(m)}});
-    } else {
-      Emit(config_.peer_poll_seconds, core::kPlainEvent,
-           {kPeerWait,
-            {static_cast<double>(w), static_cast<double>(m),
-             config_.peer_poll_seconds}});
-    }
-  }
-
-  void PeerWaitTick(int w, int m, double waited) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
-      return;
-    }
-    if (harness_.WorkerAlive(m)) {
-      ResumePull(w, m, waited);
-      return;
-    }
-    Emit(config_.peer_poll_seconds, core::kPlainEvent,
-         {kPeerWait,
-          {static_cast<double>(w), static_cast<double>(m),
-           waited + config_.peer_poll_seconds}});
-  }
-
-  void PeerTimeoutExpired(int w, int m) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
-      return;
-    }
-    if (harness_.WorkerAlive(m)) {
-      ResumePull(w, m, config_.peer_timeout_seconds);
-      return;
-    }
-    harness_.CountPeerTimeout();
-    const double compute = harness_.EffectiveComputeSeconds(w);
-    harness_.SampleBatch(w);
-    Emit(compute, w,
-         {kLocalStep, {compute, config_.peer_timeout_seconds + compute}});
-  }
-
-  void ResumePull(int w, int m, double waited) {
+  // Gradient computation overlaps the pull; the evaluation itself is the
+  // pure compute half and everything stateful commits in event order. The
+  // wall time includes any wait the dead-peer policy held the pull for.
+  void IssuePull(int w, int m, double waited) {
     const double compute = harness_.EffectiveComputeSeconds(w);
     const int64_t round = harness_.NextCommRound(w);
     const double transfer = harness_.SendSeconds(m, w, round);
@@ -296,16 +182,9 @@ class AdPsgdEngine {
     // which
     // preserves the parameter mean across the fleet.
     harness_.CommitBatchStats(w, loss);
-    if (!harness_.WorkerAlive(m)) {
-      // The peer died while this pull was in flight: keep the gradient
-      // progress, skip the averaging (and the monitor's EMA sample — no
-      // successful communication to measure).
-      harness_.CountDegradedRound();
-      harness_.ApplyStoredGradient(w);
-      harness_.AccountIteration(w, compute, wall);
-      StartIteration(w);
-      return;
-    }
+    // A peer that died in flight leaves only the gradient step (and no
+    // monitor EMA sample — no successful communication to measure).
+    if (harness_.PullLost(w, m, compute, wall)) return;
     // Both endpoints' parameters are written below: notify before either
     // write so any evaluation the backend ran ahead (m's is usually
     // speculated) is invalidated and re-dispatched.
@@ -369,8 +248,6 @@ class AdPsgdEngine {
   std::unique_ptr<CommunicationPolicy> policy_;
   std::unique_ptr<core::NetworkMonitor> monitor_;
   std::vector<std::vector<ExponentialMovingAverage>> ema_times_;
-  // Per-worker "iteration chain is parked" flag (see the join listener).
-  std::vector<uint8_t> parked_;
   net::EventRebuilder builder_;
 };
 

@@ -25,6 +25,8 @@ class AllreduceEngine {
     builder_ = [this](const net::SavedEvent& event) {
       return BuildEvent(event);
     };
+    // A rejoining worker is picked up by the next round's membership.
+    harness_.SetRoundRunner([this] { RunRound(); });
     if (harness_.restore_requested()) {
       // The restored queue carries the round's pending compute events; the
       // engine blob carries its membership and the outstanding-commit count.
@@ -37,13 +39,8 @@ class AllreduceEngine {
     harness_.ArmCheckpoint([this](Serializer& out) {
       out.WriteIntVec(members_);
       out.WriteInt(pending_);
-      out.WriteBool(round_waiting_);
       return Status::Ok();
     });
-    // No fault listener needed: the round loop re-probes on its own while
-    // any worker is dead (kWait) or runs with the live membership
-    // (kTimeoutAndContinue), so a rejoining worker is picked up by the next
-    // kRunRound automatically.
     harness_.sim().RunUntilIdle();
     NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
     return harness_.Finalize();
@@ -93,62 +90,10 @@ class AllreduceEngine {
 
   void RunRound() {
     if (harness_.AllDone()) return;
-    const int n = harness_.num_workers();
-    const core::ExperimentConfig& config = harness_.config();
-
-    // Round membership under faults. kWait keeps the paper's synchronous
-    // semantics: a dead worker blocks the whole round, which re-probes at
-    // the poll cadence until everyone is back (bounded by the run's time
-    // cap). kTimeoutAndContinue runs with whoever is alive and additionally
-    // drops stragglers whose slowed compute would hold the round more than
-    // peer_timeout_seconds past the fastest member. On a fault-free run both
-    // policies yield the full membership.
-    members_.clear();
-    if (config.peer_policy == core::PeerPolicy::kWait) {
-      for (int w = 0; w < n; ++w) {
-        if (!harness_.WorkerAlive(w)) {
-          if (!round_waiting_) {
-            round_waiting_ = true;
-            harness_.CountDegradedRound();
-          }
-          Emit(config.peer_poll_seconds, core::kPlainEvent, {kRunRound, {}});
-          return;
-        }
-      }
-      round_waiting_ = false;
-      for (int w = 0; w < n; ++w) members_.push_back(w);
-    } else {
-      double min_compute = 0.0;
-      bool has_alive = false;
-      for (int w = 0; w < n; ++w) {
-        if (!harness_.WorkerAlive(w)) continue;
-        const double compute = harness_.EffectiveComputeSeconds(w);
-        min_compute = has_alive ? std::min(min_compute, compute) : compute;
-        has_alive = true;
-      }
-      bool degraded = false;
-      for (int w = 0; w < n; ++w) {
-        if (!harness_.WorkerAlive(w)) {
-          degraded = true;
-          continue;
-        }
-        if (harness_.EffectiveComputeSeconds(w) >
-            min_compute + config.peer_timeout_seconds) {
-          // The fastest member never exceeds its own bound, so the
-          // membership is non-empty whenever anyone is alive.
-          degraded = true;
-          harness_.CountPeerTimeout();
-          continue;
-        }
-        members_.push_back(w);
-      }
-      if (members_.empty()) {
-        // Everyone is dead: re-probe until a join revives the round.
-        Emit(config.peer_poll_seconds, core::kPlainEvent, {kRunRound, {}});
-        return;
-      }
-      if (degraded) harness_.CountDegradedRound();
-    }
+    // Round membership under the dead-peer policy: kWait keeps the paper's
+    // synchronous semantics (a dead worker blocks the whole round),
+    // kTimeoutAndContinue runs with the live, non-straggling workers.
+    if (!harness_.SelectRoundMembers(&members_)) return;
 
     // Phase 1: the members compute gradients in parallel — one compute event
     // per member at the current time, so the pool evaluates the whole round
@@ -163,7 +108,6 @@ class AllreduceEngine {
 
   void ReduceAndApply() {
     const int g = static_cast<int>(members_.size());
-    const double now = harness_.sim().Now();
     double max_compute = 0.0;
     std::vector<double> computes(static_cast<size_t>(g));
     for (int k = 0; k < g; ++k) {
@@ -172,43 +116,18 @@ class AllreduceEngine {
       max_compute = std::max(max_compute, computes[static_cast<size_t>(k)]);
     }
 
-    // Phase 2: ring allreduce of the gradients over the members. 2(G-1)
-    // chunk steps, each paced by the slowest ring link; the chunks are
-    // pipelined, so the per-message latency is paid once per direction
-    // rather than per step (T(0 bytes) isolates the latency component).
-    // Link costs are evaluated at the current virtual time (dynamic
-    // slowdowns apply). A single surviving member reduces with nobody:
-    // communication-free round.
+    // Phase 2: ring allreduce of the gradients over the members, at the
+    // current virtual time (dynamic slowdowns apply). A single surviving
+    // member reduces with nobody: communication-free round.
     double allreduce_seconds = 0.0;
     int64_t round = 0;
     if (g > 1) {
-      const int64_t baseline_chunk =
-          harness_.config().profile.message_bytes() / g;
-      int64_t chunk_bytes = baseline_chunk;
+      // One communication round per allreduce; the first member's counter
+      // indexes the layer-wise schedule for the whole ring.
       if (harness_.compression_enabled()) {
-        // One communication round per allreduce; the first member's counter
-        // indexes the layer-wise schedule for the whole ring.
         round = harness_.NextCommRound(members_.front());
-        chunk_bytes = harness_.MessagePayloadBytes(round) / g;
       }
-      // Ring allreduce moves 2(G-1) chunk steps of G concurrent messages.
-      const int64_t chunk_messages =
-          static_cast<int64_t>(g) * 2 * (g - 1);
-      harness_.AccountWire(chunk_messages, chunk_messages * chunk_bytes,
-                           chunk_messages * baseline_chunk);
-      double step_seconds = 0.0;
-      double latency_seconds = 0.0;
-      for (int k = 0; k < g; ++k) {
-        const int a = members_[static_cast<size_t>(k)];
-        const int b = members_[static_cast<size_t>((k + 1) % g)];
-        const double latency = harness_.links().TransferSeconds(a, b, now, 0);
-        const double chunk =
-            harness_.links().TransferSeconds(a, b, now, chunk_bytes);
-        step_seconds = std::max(step_seconds, chunk - latency);
-        latency_seconds = std::max(latency_seconds, latency);
-      }
-      allreduce_seconds =
-          2.0 * (g - 1) * step_seconds + 2.0 * latency_seconds;
+      allreduce_seconds = harness_.RingAllreduceSeconds(members_, round);
     }
 
     // Average the members' gradients and apply the identical update on each
@@ -257,17 +176,13 @@ class AllreduceEngine {
     if (pending_ < 0 || pending_ > static_cast<int>(members_.size())) {
       return InvalidArgumentError("pending commit count out of range");
     }
-    NETMAX_ASSIGN_OR_RETURN(round_waiting_, in.ReadBool());
     return Status::Ok();
   }
 
   ExperimentHarness harness_;
-  // The current round's membership, its outstanding commit count, and
-  // whether a kWait round is currently blocked on a dead worker (so the
-  // degraded-round count increments once per blockage, not per probe).
+  // The current round's membership and its outstanding commit count.
   std::vector<int> members_;
   int pending_ = 0;
-  bool round_waiting_ = false;
   net::EventRebuilder builder_;
 };
 

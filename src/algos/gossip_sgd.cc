@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/checkpoint.h"
-#include "net/fault_schedule.h"
 
 namespace netmax::algos {
 namespace {
@@ -26,19 +25,14 @@ class GossipEngine {
     NETMAX_RETURN_IF_ERROR(harness_.Init());
     const int n = harness_.num_workers();
     push_busy_until_.assign(static_cast<size_t>(n), 0.0);
-    parked_.assign(static_cast<size_t>(n), 0);
     builder_ = [this](const net::SavedEvent& event) {
       return BuildEvent(event);
     };
+    harness_.SetIterationChain([this](int w) { StartIteration(w); });
     if (harness_.restore_requested()) {
       NETMAX_RETURN_IF_ERROR(harness_.Restore(
           [this](Deserializer& in) {
-            NETMAX_RETURN_IF_ERROR(in.ReadDoubleSpan(push_busy_until_));
-            for (size_t w = 0; w < parked_.size(); ++w) {
-              NETMAX_ASSIGN_OR_RETURN(const bool parked, in.ReadBool());
-              parked_[w] = parked ? 1 : 0;
-            }
-            return Status::Ok();
+            return in.ReadDoubleSpan(push_busy_until_);
           },
           builder_));
     } else {
@@ -46,15 +40,7 @@ class GossipEngine {
     }
     harness_.ArmCheckpoint([this](Serializer& out) {
       out.WriteDoubleVec(push_busy_until_);
-      for (const uint8_t parked : parked_) out.WriteBool(parked != 0);
       return Status::Ok();
-    });
-    // Restart a rejoining worker's iteration chain iff it parked.
-    harness_.set_fault_listener([this](const net::FaultEvent& fault) {
-      if (fault.kind == net::FaultKind::kJoin &&
-          parked_[static_cast<size_t>(fault.worker)] != 0) {
-        StartIteration(fault.worker);
-      }
     });
     harness_.sim().RunUntilIdle();
     NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
@@ -142,11 +128,7 @@ class GossipEngine {
   }
 
   void StartIteration(int w) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
-      return;
-    }
-    parked_[static_cast<size_t>(w)] = 0;
+    if (!harness_.ContinueChain(w)) return;
     const double compute = harness_.EffectiveComputeSeconds(w);
     harness_.SampleBatch(w);
     Emit(compute, w, {kIterate, {compute}});
@@ -181,8 +163,6 @@ class GossipEngine {
 
   ExperimentHarness harness_;
   std::vector<double> push_busy_until_;
-  // Per-worker "iteration chain is parked" flag (see the join listener).
-  std::vector<uint8_t> parked_;
   net::EventRebuilder builder_;
 };
 

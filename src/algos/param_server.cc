@@ -10,7 +10,6 @@
 
 #include "core/checkpoint.h"
 #include "linalg/vector_ops.h"
-#include "net/fault_schedule.h"
 
 namespace netmax::algos {
 namespace {
@@ -93,6 +92,8 @@ class PsSyncEngine {
     builder_ = [this](const net::SavedEvent& event) {
       return BuildEvent(event);
     };
+    // A rejoining worker is picked up by the next round's membership.
+    harness_.SetRoundRunner([this] { RunRound(); });
     if (harness_.restore_requested()) {
       NETMAX_RETURN_IF_ERROR(harness_.Restore(
           [this](Deserializer& in) {
@@ -107,12 +108,8 @@ class PsSyncEngine {
       ps_->SaveState(out);
       out.WriteIntVec(members_);
       out.WriteInt(pending_);
-      out.WriteBool(round_waiting_);
       return Status::Ok();
     });
-    // No fault listener needed: the round loop re-probes on its own while a
-    // worker is dead (kWait) or runs with the live membership, so rejoining
-    // workers are picked up by the next kRunRound.
     harness_.sim().RunUntilIdle();
     NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
     return harness_.Finalize();
@@ -162,56 +159,7 @@ class PsSyncEngine {
 
   void RunRound() {
     if (harness_.AllDone()) return;
-    const int n = harness_.num_workers();
-    const core::ExperimentConfig& config = harness_.config();
-
-    // Round membership under faults — same scheme as the allreduce engine:
-    // kWait blocks the round on any dead worker (re-probing at the poll
-    // cadence), kTimeoutAndContinue runs with the live members and drops
-    // stragglers slower than the fastest member by more than the timeout.
-    members_.clear();
-    if (config.peer_policy == core::PeerPolicy::kWait) {
-      for (int w = 0; w < n; ++w) {
-        if (!harness_.WorkerAlive(w)) {
-          if (!round_waiting_) {
-            round_waiting_ = true;
-            harness_.CountDegradedRound();
-          }
-          Emit(config.peer_poll_seconds, core::kPlainEvent, {kRunRound, {}});
-          return;
-        }
-      }
-      round_waiting_ = false;
-      for (int w = 0; w < n; ++w) members_.push_back(w);
-    } else {
-      double min_compute = 0.0;
-      bool has_alive = false;
-      for (int w = 0; w < n; ++w) {
-        if (!harness_.WorkerAlive(w)) continue;
-        const double compute = harness_.EffectiveComputeSeconds(w);
-        min_compute = has_alive ? std::min(min_compute, compute) : compute;
-        has_alive = true;
-      }
-      bool degraded = false;
-      for (int w = 0; w < n; ++w) {
-        if (!harness_.WorkerAlive(w)) {
-          degraded = true;
-          continue;
-        }
-        if (harness_.EffectiveComputeSeconds(w) >
-            min_compute + config.peer_timeout_seconds) {
-          degraded = true;
-          harness_.CountPeerTimeout();
-          continue;
-        }
-        members_.push_back(w);
-      }
-      if (members_.empty()) {
-        Emit(config.peer_poll_seconds, core::kPlainEvent, {kRunRound, {}});
-        return;
-      }
-      if (degraded) harness_.CountDegradedRound();
-    }
+    if (!harness_.SelectRoundMembers(&members_)) return;
 
     // Phase 1: parallel gradient computation on each member's own replica,
     // as one compute event per member at the current time so the pool runs
@@ -318,17 +266,14 @@ class PsSyncEngine {
     if (pending_ < 0 || pending_ > static_cast<int>(members_.size())) {
       return InvalidArgumentError("pending commit count out of range");
     }
-    NETMAX_ASSIGN_OR_RETURN(round_waiting_, in.ReadBool());
     return Status::Ok();
   }
 
   ExperimentHarness harness_;
   std::unique_ptr<PsState> ps_;
-  // Current round membership, outstanding commit count, and the once-per-
-  // blockage flag for the kWait degraded-round accounting.
+  // Current round membership and outstanding commit count.
   std::vector<int> members_;
   int pending_ = 0;
-  bool round_waiting_ = false;
   net::EventRebuilder builder_;
 };
 
@@ -341,38 +286,23 @@ class PsAsyncEngine {
     NETMAX_RETURN_IF_ERROR(harness_.Init());
     ps_ = std::make_unique<PsState>(harness_, harness_.config(),
                                     /*use_momentum=*/false);
-    parked_.assign(static_cast<size_t>(harness_.num_workers()), 0);
     builder_ = [this](const net::SavedEvent& event) {
       return BuildEvent(event);
     };
+    // The PS itself never dies (worker faults only target workers). A worker
+    // that dies mid round-trip finishes it — its NIC reservations already
+    // happened — and parks at the download's StartIteration.
+    harness_.SetIterationChain([this](int w) { StartIteration(w); });
     if (harness_.restore_requested()) {
       NETMAX_RETURN_IF_ERROR(harness_.Restore(
-          [this](Deserializer& in) {
-            NETMAX_RETURN_IF_ERROR(ps_->RestoreState(in));
-            for (size_t w = 0; w < parked_.size(); ++w) {
-              NETMAX_ASSIGN_OR_RETURN(const bool parked, in.ReadBool());
-              parked_[w] = parked ? 1 : 0;
-            }
-            return Status::Ok();
-          },
+          [this](Deserializer& in) { return ps_->RestoreState(in); },
           builder_));
     } else {
       for (int w = 0; w < harness_.num_workers(); ++w) StartIteration(w);
     }
     harness_.ArmCheckpoint([this](Serializer& out) {
       ps_->SaveState(out);
-      for (const uint8_t parked : parked_) out.WriteBool(parked != 0);
       return Status::Ok();
-    });
-    // The PS itself never dies (worker faults only target workers); a
-    // rejoining worker's chain restarts iff it parked. A worker that dies
-    // mid round-trip finishes it — its NIC reservations already happened —
-    // and parks at the download's StartIteration.
-    harness_.set_fault_listener([this](const net::FaultEvent& fault) {
-      if (fault.kind == net::FaultKind::kJoin &&
-          parked_[static_cast<size_t>(fault.worker)] != 0) {
-        StartIteration(fault.worker);
-      }
     });
     harness_.sim().RunUntilIdle();
     NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
@@ -499,11 +429,7 @@ class PsAsyncEngine {
   }
 
   void StartIteration(int w) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
-      return;
-    }
-    parked_[static_cast<size_t>(w)] = 0;
+    if (!harness_.ContinueChain(w)) return;
     const double t0 = harness_.sim().Now();
     const double compute = harness_.EffectiveComputeSeconds(w);
     // Gradient at the worker's (possibly stale) parameters: pure compute
@@ -514,8 +440,6 @@ class PsAsyncEngine {
 
   ExperimentHarness harness_;
   std::unique_ptr<PsState> ps_;
-  // Per-worker "iteration chain is parked" flag (see the join listener).
-  std::vector<uint8_t> parked_;
   net::EventRebuilder builder_;
 };
 

@@ -30,10 +30,10 @@ class PragueEngine {
     group_size_ = std::min(group_size_, n);
     iteration_start_.assign(static_cast<size_t>(n), 0.0);
     ready_since_.assign(static_cast<size_t>(n), -1.0);
-    parked_.assign(static_cast<size_t>(n), 0);
     builder_ = [this](const net::SavedEvent& event) {
       return BuildEvent(event);
     };
+    harness_.SetIterationChain([this](int w) { StartIteration(w); });
     if (harness_.restore_requested()) {
       NETMAX_RETURN_IF_ERROR(harness_.Restore(
           [this](Deserializer& in) { return RestoreEngineState(in); },
@@ -46,27 +46,22 @@ class PragueEngine {
       out.WriteDoubleVec(iteration_start_);
       out.WriteInt(active_groups_);
       out.WriteDoubleVec(ready_since_);
-      for (const uint8_t parked : parked_) out.WriteBool(parked != 0);
       return Status::Ok();
     });
     // A leaving worker is evicted from the waiting room (a dead member must
-    // not be averaged into a group); a rejoining worker's chain restarts iff
-    // it parked. Either way the remaining ready workers are re-examined —
-    // the active-worker count just changed.
+    // not be averaged into a group) and the remaining ready workers are
+    // re-examined — the active-worker count just changed. (A rejoining
+    // worker's parked chain is restarted by the harness.)
     harness_.set_fault_listener([this](const net::FaultEvent& fault) {
-      const size_t w = static_cast<size_t>(fault.worker);
-      if (fault.kind == net::FaultKind::kLeave) {
-        auto it = std::find(ready_.begin(), ready_.end(), fault.worker);
-        if (it != ready_.end()) {
-          ready_.erase(it);
-          ready_since_[w] = -1.0;
-          parked_[w] = 1;
-          harness_.CountDegradedRound();
-        }
-        MaybeFormGroup(/*flush=*/false);
-      } else if (fault.kind == net::FaultKind::kJoin && parked_[w] != 0) {
-        StartIteration(fault.worker);
+      if (fault.kind != net::FaultKind::kLeave) return;
+      auto it = std::find(ready_.begin(), ready_.end(), fault.worker);
+      if (it != ready_.end()) {
+        ready_.erase(it);
+        ready_since_[static_cast<size_t>(fault.worker)] = -1.0;
+        harness_.ParkChain(fault.worker);
+        harness_.CountDegradedRound();
       }
+      MaybeFormGroup(/*flush=*/false);
     });
     harness_.sim().RunUntilIdle();
     NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
@@ -105,7 +100,7 @@ class PragueEngine {
           if (!harness_.WorkerAlive(w)) {
             // The worker left while this batch was in flight: the local step
             // counts, but it must not enter the waiting room.
-            parked_[static_cast<size_t>(w)] = 1;
+            harness_.ParkChain(w);
             harness_.CountDegradedRound();
             MaybeFormGroup(/*flush=*/false);
             return;
@@ -160,22 +155,16 @@ class PragueEngine {
       return InvalidArgumentError("negative active group count");
     }
     NETMAX_RETURN_IF_ERROR(in.ReadDoubleSpan(ready_since_));
-    for (size_t w = 0; w < parked_.size(); ++w) {
-      NETMAX_ASSIGN_OR_RETURN(const bool parked, in.ReadBool());
-      parked_[w] = parked ? 1 : 0;
-    }
     return Status::Ok();
   }
 
   void StartIteration(int w) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
+    if (!harness_.ContinueChain(w)) {
       // A finished worker no longer joins groups; flush stragglers so the
       // remaining ready workers are not stranded waiting for it.
       MaybeFormGroup(/*flush=*/true);
       return;
     }
-    parked_[static_cast<size_t>(w)] = 0;
     iteration_start_[static_cast<size_t>(w)] = harness_.sim().Now();
     const double compute = harness_.EffectiveComputeSeconds(w);
     harness_.SampleBatch(w);
@@ -245,40 +234,19 @@ class PragueEngine {
 
   void LaunchGroup(const std::vector<int>& group) {
     for (int w : group) ready_since_[static_cast<size_t>(w)] = -1.0;
-    const double now = harness_.sim().Now();
-    // Ring allreduce within the group: 2(G-1) steps of 1/G model chunks over
-    // the slowest intra-group link. Concurrent groups share the physical
+    // Ring allreduce within the group. Concurrent groups share the physical
     // network: the paper attributes Prague's congestion to exactly this, so
-    // each step is stretched by the number of in-flight groups.
-    const int g = static_cast<int>(group.size());
-    const int64_t baseline_chunk =
-        harness_.config().profile.message_bytes() / g;
-    int64_t chunk_bytes = baseline_chunk;
+    // the ring is stretched by the number of in-flight groups. One
+    // communication round per group reduce, indexed by the first member's
+    // counter (groups always have >= 2 members here).
     int64_t round = 0;
     if (harness_.compression_enabled()) {
-      // One communication round per group reduce, indexed by the first
-      // member's counter (groups always have >= 2 members here).
       round = harness_.NextCommRound(group.front());
-      chunk_bytes = harness_.MessagePayloadBytes(round) / g;
     }
-    const int64_t chunk_messages = static_cast<int64_t>(g) * 2 * (g - 1);
-    harness_.AccountWire(chunk_messages, chunk_messages * chunk_bytes,
-                         chunk_messages * baseline_chunk);
-    double step_seconds = 0.0;
-    double latency_seconds = 0.0;
-    for (int k = 0; k < g; ++k) {
-      const int a = group[static_cast<size_t>(k)];
-      const int b = group[static_cast<size_t>((k + 1) % g)];
-      const double latency = harness_.links().TransferSeconds(a, b, now, 0);
-      const double chunk =
-          harness_.links().TransferSeconds(a, b, now, chunk_bytes);
-      step_seconds = std::max(step_seconds, chunk - latency);
-      latency_seconds = std::max(latency_seconds, latency);
-    }
+    const double ring_seconds = harness_.RingAllreduceSeconds(group, round);
     ++active_groups_;
-    const double contention = static_cast<double>(active_groups_);
     const double reduce_seconds =
-        (2.0 * (g - 1) * step_seconds + 2.0 * latency_seconds) * contention;
+        ring_seconds * static_cast<double>(active_groups_);
 
     // Average the group's models.
     std::vector<std::vector<double>> params;
@@ -331,8 +299,6 @@ class PragueEngine {
   // Waiting-room entry time per worker (-1 while not waiting): the episode
   // identity for kReadyTimeout deadlines.
   std::vector<double> ready_since_;
-  // Per-worker "iteration chain is parked" flag (see the fault listener).
-  std::vector<uint8_t> parked_;
   net::EventRebuilder builder_;
 };
 

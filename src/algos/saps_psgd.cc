@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/checkpoint.h"
-#include "net/fault_schedule.h"
 
 namespace netmax::algos {
 
@@ -97,37 +96,21 @@ class SapsEngine {
     }
     subgraph_ = std::make_unique<net::Topology>(BuildFastLinkSubgraph(cost));
     NETMAX_CHECK(subgraph_->IsConnected());
-    parked_.assign(static_cast<size_t>(n), 0);
     builder_ = [this](const net::SavedEvent& event) {
       return BuildEvent(event);
     };
+    harness_.SetIterationChain(
+        [this](int w) { StartIteration(w); },
+        [this](int w, int m, double waited) { IssuePull(w, m, waited); });
     if (harness_.restore_requested()) {
       // The subgraph above is rebuilt deterministically from the t = 0 link
-      // costs, so the queue, worker state, and parked flags are the only
-      // mutable state.
+      // costs, so the engine has no state of its own to restore.
       NETMAX_RETURN_IF_ERROR(harness_.Restore(
-          [this](Deserializer& in) {
-            for (size_t w = 0; w < parked_.size(); ++w) {
-              NETMAX_ASSIGN_OR_RETURN(const bool parked, in.ReadBool());
-              parked_[w] = parked ? 1 : 0;
-            }
-            return Status::Ok();
-          },
-          builder_));
+          [](Deserializer&) { return Status::Ok(); }, builder_));
     } else {
       for (int w = 0; w < n; ++w) StartIteration(w);
     }
-    harness_.ArmCheckpoint([this](Serializer& out) {
-      for (const uint8_t parked : parked_) out.WriteBool(parked != 0);
-      return Status::Ok();
-    });
-    // Restart a rejoining worker's iteration chain iff it parked.
-    harness_.set_fault_listener([this](const net::FaultEvent& fault) {
-      if (fault.kind == net::FaultKind::kJoin &&
-          parked_[static_cast<size_t>(fault.worker)] != 0) {
-        StartIteration(fault.worker);
-      }
-    });
+    harness_.ArmCheckpoint([](Serializer&) { return Status::Ok(); });
     harness_.sim().RunUntilIdle();
     NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
     return harness_.Finalize();
@@ -137,9 +120,6 @@ class SapsEngine {
   // Checkpoint reification tags (core/checkpoint.h).
   enum Tag : int64_t {
     kIterate = 0,  // compute event: args [peer, compute_secs, wall_secs, round]
-    kPeerWait = 1,     // plain event: args [worker, peer, waited_secs]
-    kPeerTimeout = 2,  // plain event: args [worker, peer]
-    kLocalStep = 3,    // compute event: args [compute_secs, wall_secs]
   };
 
   void Emit(double delay, int worker_key, net::EventPayload payload) {
@@ -166,37 +146,6 @@ class SapsEngine {
         };
         return rebuilt;
       }
-      case kPeerWait: {
-        if (event.worker_key >= 0 || args.size() != 3) break;
-        const int w = static_cast<int>(args[0]);
-        const int m = static_cast<int>(args[1]);
-        const double waited = args[2];
-        if (w < 0 || w >= n || m < 0 || m >= n || m == w) break;
-        rebuilt.plain = [this, w, m, waited] { PeerWaitTick(w, m, waited); };
-        return rebuilt;
-      }
-      case kPeerTimeout: {
-        if (event.worker_key >= 0 || args.size() != 2) break;
-        const int w = static_cast<int>(args[0]);
-        const int m = static_cast<int>(args[1]);
-        if (w < 0 || w >= n || m < 0 || m >= n || m == w) break;
-        rebuilt.plain = [this, w, m] { PeerTimeoutExpired(w, m); };
-        return rebuilt;
-      }
-      case kLocalStep: {
-        const int w = event.worker_key;
-        if (w < 0 || w >= n || args.size() != 2) break;
-        const double compute = args[0];
-        const double wall = args[1];
-        rebuilt.compute = [this, w] { return harness_.EvalBatchGradient(w); };
-        rebuilt.commit = [this, w, compute, wall](double loss) {
-          harness_.CommitBatchStats(w, loss);
-          harness_.ApplyStoredGradient(w);
-          harness_.AccountIteration(w, compute, wall);
-          StartIteration(w);
-        };
-        return rebuilt;
-      }
       default:
         break;
     }
@@ -208,15 +157,7 @@ class SapsEngine {
                          int64_t round, double loss) {
     core::WorkerRuntime& wr = harness_.worker(w);
     harness_.CommitBatchStats(w, loss);
-    if (!harness_.WorkerAlive(m)) {
-      // The peer died while this pull was in flight: keep the gradient
-      // progress, skip the averaging leg.
-      harness_.CountDegradedRound();
-      harness_.ApplyStoredGradient(w);
-      harness_.AccountIteration(w, compute, wall);
-      StartIteration(w);
-      return;
-    }
+    if (harness_.PullLost(w, m, compute, wall)) return;
     // One-sided averaging writes only the puller's parameters (m is
     // read-only here, and compute halves only read their own worker's
     // parameters, so no notify is needed for m under any backend).
@@ -241,82 +182,15 @@ class SapsEngine {
   }
 
   void StartIteration(int w) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
-      return;
-    }
-    parked_[static_cast<size_t>(w)] = 0;
+    if (!harness_.ContinueChain(w)) return;
     core::WorkerRuntime& worker = harness_.worker(w);
     const auto& neighbors = subgraph_->Neighbors(w);
     const int m = neighbors[static_cast<size_t>(worker.rng.UniformInt(
         0, static_cast<int64_t>(neighbors.size()) - 1))];
-    if (!harness_.WorkerAlive(m)) {
-      // The drawn neighbor is dead: hold this iteration per the peer policy;
-      // the batch is sampled only when the pull actually goes out.
-      BeginPeerWait(w, m);
-      return;
-    }
-    const double compute = harness_.EffectiveComputeSeconds(w);
-    const int64_t round = harness_.NextCommRound(w);
-    const double transfer = harness_.SendSeconds(m, w, round);
-    harness_.SampleBatch(w);
-    const double wall = std::max(compute, transfer);
-    Emit(wall, w,
-         {kIterate,
-          {static_cast<double>(m), compute, wall,
-           static_cast<double>(round)}});
+    harness_.PullFrom(w, m);
   }
 
-  // Dead-neighbor handling (same per-episode machinery as AD-PSGD): kWait
-  // re-probes at the poll cadence, kTimeoutAndContinue degrades to a local
-  // step after one deadline.
-  void BeginPeerWait(int w, int m) {
-    harness_.CountDegradedRound();
-    const core::ExperimentConfig& config = harness_.config();
-    if (config.peer_policy == core::PeerPolicy::kTimeoutAndContinue) {
-      Emit(config.peer_timeout_seconds, core::kPlainEvent,
-           {kPeerTimeout, {static_cast<double>(w), static_cast<double>(m)}});
-    } else {
-      Emit(config.peer_poll_seconds, core::kPlainEvent,
-           {kPeerWait,
-            {static_cast<double>(w), static_cast<double>(m),
-             config.peer_poll_seconds}});
-    }
-  }
-
-  void PeerWaitTick(int w, int m, double waited) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
-      return;
-    }
-    if (harness_.WorkerAlive(m)) {
-      ResumePull(w, m, waited);
-      return;
-    }
-    Emit(harness_.config().peer_poll_seconds, core::kPlainEvent,
-         {kPeerWait,
-          {static_cast<double>(w), static_cast<double>(m),
-           waited + harness_.config().peer_poll_seconds}});
-  }
-
-  void PeerTimeoutExpired(int w, int m) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
-      return;
-    }
-    if (harness_.WorkerAlive(m)) {
-      ResumePull(w, m, harness_.config().peer_timeout_seconds);
-      return;
-    }
-    harness_.CountPeerTimeout();
-    const double compute = harness_.EffectiveComputeSeconds(w);
-    harness_.SampleBatch(w);
-    Emit(compute, w,
-         {kLocalStep,
-          {compute, harness_.config().peer_timeout_seconds + compute}});
-  }
-
-  void ResumePull(int w, int m, double waited) {
+  void IssuePull(int w, int m, double waited) {
     const double compute = harness_.EffectiveComputeSeconds(w);
     const int64_t round = harness_.NextCommRound(w);
     const double transfer = harness_.SendSeconds(m, w, round);
@@ -330,8 +204,6 @@ class SapsEngine {
 
   ExperimentHarness harness_;
   std::unique_ptr<net::Topology> subgraph_;
-  // Per-worker "iteration chain is parked" flag (see the join listener).
-  std::vector<uint8_t> parked_;
   net::EventRebuilder builder_;
 };
 

@@ -239,6 +239,46 @@ StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
       rebuilt.plain = [this, at] { OneShotCheckpoint(at); };
       return rebuilt;
     }
+    case kHarnessPeerWaitTag:
+    case kHarnessPeerTimeoutTag: {
+      const bool wait = saved.payload.tag == kHarnessPeerWaitTag;
+      if (saved.worker_key >= 0 || args.size() != (wait ? 3u : 2u)) {
+        return InvalidArgumentError("malformed harness peer-wait event");
+      }
+      const int w = static_cast<int>(args[0]);
+      const int m = static_cast<int>(args[1]);
+      const int n = config_.num_workers;
+      if (w < 0 || w >= n || m < 0 || m >= n || m == w) {
+        return InvalidArgumentError("harness peer-wait event out of range");
+      }
+      if (wait) {
+        const double waited = args[2];
+        rebuilt.plain = [this, w, m, waited] { PeerWaitTick(w, m, waited); };
+      } else {
+        rebuilt.plain = [this, w, m] { PeerTimeoutExpired(w, m); };
+      }
+      return rebuilt;
+    }
+    case kHarnessLocalStepTag: {
+      const int w = saved.worker_key;
+      if (w < 0 || w >= config_.num_workers || args.size() != 2) {
+        return InvalidArgumentError("malformed harness local-step event");
+      }
+      const double compute = args[0];
+      const double wall = args[1];
+      rebuilt.compute = [this, w] { return EvalBatchGradient(w); };
+      rebuilt.commit = [this, w, compute, wall](double loss) {
+        LocalStepDone(w, compute, wall, loss);
+      };
+      return rebuilt;
+    }
+    case kHarnessRoundRetryTag: {
+      if (saved.worker_key >= 0 || !args.empty()) {
+        return InvalidArgumentError("malformed harness round-retry event");
+      }
+      rebuilt.plain = [this] { round_runner_(); };
+      return rebuilt;
+    }
     default:
       return InvalidArgumentError("unknown harness event tag " +
                                   std::to_string(saved.payload.tag));
@@ -246,8 +286,9 @@ StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
 }
 
 void ExperimentHarness::ScheduleHarnessEvent(double time,
-                                             net::EventPayload payload) {
-  ScheduleReifiedAt(sim_, time, kPlainEvent, std::move(payload),
+                                             net::EventPayload payload,
+                                             int worker_key) {
+  ScheduleReifiedAt(sim_, time, worker_key, std::move(payload),
                     [this](const net::SavedEvent& saved) {
                       return BuildHarnessEvent(saved);
                     });
@@ -332,6 +373,9 @@ StatusOr<std::vector<uint8_t>> ExperimentHarness::SerializeCheckpoint(
   out.WriteI64(bytes_sent_);
   out.WriteI64(bytes_saved_);
   out.WriteI64(cadence_next_index_);
+  // Dead-peer policy state (version 4).
+  for (const uint8_t parked : parked_) out.WriteBool(parked != 0);
+  out.WriteBool(round_blocked_);
 
   NETMAX_RETURN_IF_ERROR(save_engine(out));
   out.WriteU32(kCheckpointEndMarker);
@@ -466,8 +510,8 @@ Status ExperimentHarness::Restore(const EngineStateRestorer& restore_engine,
   }
   sim_.RestoreClock(now, next_sequence, processed);
   // Harness-tagged events (pending faults, cadence ticks, the one-shot
-  // checkpoint event) are rebuilt by the harness itself; everything else is
-  // the engine's. Restoring a pending cadence tick also tells ArmCheckpoint
+  // checkpoint event, dead-peer waits) are rebuilt by the harness itself;
+  // everything else is the engine's. Restoring a pending cadence tick also tells ArmCheckpoint
   // not to arm a duplicate.
   cadence_tick_restored_ = false;
   const net::EventRebuilder wrapped_rebuilder =
@@ -506,6 +550,11 @@ Status ExperimentHarness::Restore(const EngineStateRestorer& restore_engine,
   NETMAX_ASSIGN_OR_RETURN(bytes_sent_, in.ReadI64());
   NETMAX_ASSIGN_OR_RETURN(bytes_saved_, in.ReadI64());
   NETMAX_ASSIGN_OR_RETURN(cadence_next_index_, in.ReadI64());
+  for (uint8_t& parked : parked_) {
+    NETMAX_ASSIGN_OR_RETURN(const bool flag, in.ReadBool());
+    parked = flag ? 1 : 0;
+  }
+  NETMAX_ASSIGN_OR_RETURN(round_blocked_, in.ReadBool());
 
   NETMAX_RETURN_IF_ERROR(restore_engine(in));
   NETMAX_ASSIGN_OR_RETURN(const uint32_t end_marker, in.ReadU32());

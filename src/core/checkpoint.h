@@ -54,8 +54,11 @@ inline constexpr uint32_t kCheckpointEndMarker = 0x4E4D4345;
 // factors, fault counters) and the periodic-cadence tick index. Version 3
 // added the wire-accounting counters (messages/bytes sent, bytes saved), the
 // per-worker communication-round index, and the compression spec in the
-// config fingerprint.
-inline constexpr uint32_t kCheckpointVersion = 3;
+// config fingerprint. Version 4 moved the dead-peer policy into the harness:
+// its parked-chain flags and round-blockage flag left the engine blobs for
+// the harness section, and pending peer waits, timeouts, degraded local
+// steps and round retries became harness-tagged events.
+inline constexpr uint32_t kCheckpointVersion = 4;
 
 // Whole-file read/write. Write goes through a temp file + rename so a crash
 // mid-write never leaves a truncated checkpoint at `path`.

@@ -316,6 +316,7 @@ Status ExperimentHarness::Init() {
   // restored queue already carries the pending fault events.
   alive_.assign(static_cast<size_t>(config_.num_workers), true);
   compute_factor_.assign(static_cast<size_t>(config_.num_workers), 1.0);
+  parked_.assign(static_cast<size_t>(config_.num_workers), 0);
   if (!config_.faults.empty() && !restore_requested()) ScheduleFaults();
 
   initialized_ = true;
@@ -357,7 +358,144 @@ void ExperimentHarness::ApplyFault(const net::FaultEvent& fault) {
       break;
     }
   }
+  // A rejoining worker whose chain parked (it was dead when its last commit
+  // tried to start the next iteration) restarts here; a worker that rejoins
+  // while its pre-leave event is still in flight keeps that chain.
+  if (fault.kind == net::FaultKind::kJoin &&
+      parked_[static_cast<size_t>(fault.worker)] != 0) {
+    chain_start_(fault.worker);
+  }
   if (fault_listener_) fault_listener_(fault);
+}
+
+void ExperimentHarness::PullFrom(int w, int m) {
+  if (WorkerAlive(m)) {
+    pull_issuer_(w, m, 0.0);
+    return;
+  }
+  // The batch is sampled only when (and if) w's step actually goes out.
+  ++rounds_degraded_;
+  net::EventPayload payload;
+  if (config_.peer_policy == PeerPolicy::kTimeoutAndContinue) {
+    payload.tag = kHarnessPeerTimeoutTag;
+    payload.args = {static_cast<double>(w), static_cast<double>(m)};
+    ScheduleHarnessEvent(sim_.Now() + config_.peer_timeout_seconds,
+                         std::move(payload));
+  } else {
+    payload.tag = kHarnessPeerWaitTag;
+    payload.args = {static_cast<double>(w), static_cast<double>(m),
+                    config_.peer_poll_seconds};
+    ScheduleHarnessEvent(sim_.Now() + config_.peer_poll_seconds,
+                         std::move(payload));
+  }
+}
+
+void ExperimentHarness::PeerWaitTick(int w, int m, double waited) {
+  if (WorkerDone(w)) {
+    ParkChain(w);
+    return;
+  }
+  if (WorkerAlive(m)) {
+    // The held pull goes out: its wall time accounts the wait on top of the
+    // usual compute/transfer leg.
+    pull_issuer_(w, m, waited);
+    return;
+  }
+  net::EventPayload payload;
+  payload.tag = kHarnessPeerWaitTag;
+  payload.args = {static_cast<double>(w), static_cast<double>(m),
+                  waited + config_.peer_poll_seconds};
+  ScheduleHarnessEvent(sim_.Now() + config_.peer_poll_seconds,
+                       std::move(payload));
+}
+
+void ExperimentHarness::PeerTimeoutExpired(int w, int m) {
+  if (WorkerDone(w)) {
+    ParkChain(w);
+    return;
+  }
+  if (WorkerAlive(m)) {
+    pull_issuer_(w, m, config_.peer_timeout_seconds);
+    return;
+  }
+  ++peers_timed_out_;
+  const double compute = EffectiveComputeSeconds(w);
+  SampleBatch(w);
+  net::EventPayload payload;
+  payload.tag = kHarnessLocalStepTag;
+  payload.args = {compute, config_.peer_timeout_seconds + compute};
+  ScheduleHarnessEvent(sim_.Now() + compute, std::move(payload), w);
+}
+
+void ExperimentHarness::LocalStepDone(int w, double compute_seconds,
+                                      double wall_seconds, double loss) {
+  CommitBatchStats(w, loss);
+  ApplyStoredGradient(w);
+  AccountIteration(w, compute_seconds, wall_seconds);
+  chain_start_(w);
+}
+
+bool ExperimentHarness::PullLost(int w, int m, double compute_seconds,
+                                 double wall_seconds) {
+  if (WorkerAlive(m)) return false;
+  ++rounds_degraded_;
+  ApplyStoredGradient(w);
+  AccountIteration(w, compute_seconds, wall_seconds);
+  chain_start_(w);
+  return true;
+}
+
+bool ExperimentHarness::SelectRoundMembers(std::vector<int>* members) {
+  const int n = config_.num_workers;
+  members->clear();
+  if (config_.peer_policy == PeerPolicy::kWait) {
+    for (int w = 0; w < n; ++w) {
+      if (!WorkerAlive(w)) {
+        if (!round_blocked_) {
+          round_blocked_ = true;
+          ++rounds_degraded_;
+        }
+        ScheduleHarnessEvent(sim_.Now() + config_.peer_poll_seconds,
+                             {kHarnessRoundRetryTag, {}});
+        return false;
+      }
+    }
+    round_blocked_ = false;
+    for (int w = 0; w < n; ++w) members->push_back(w);
+    return true;
+  }
+  double min_compute = 0.0;
+  bool has_alive = false;
+  for (int w = 0; w < n; ++w) {
+    if (!WorkerAlive(w)) continue;
+    const double compute = EffectiveComputeSeconds(w);
+    min_compute = has_alive ? std::min(min_compute, compute) : compute;
+    has_alive = true;
+  }
+  bool degraded = false;
+  for (int w = 0; w < n; ++w) {
+    if (!WorkerAlive(w)) {
+      degraded = true;
+      continue;
+    }
+    if (EffectiveComputeSeconds(w) >
+        min_compute + config_.peer_timeout_seconds) {
+      // The fastest member never exceeds its own bound, so the membership
+      // is non-empty whenever anyone is alive.
+      degraded = true;
+      ++peers_timed_out_;
+      continue;
+    }
+    members->push_back(w);
+  }
+  if (members->empty()) {
+    // Everyone is dead: re-probe until a join revives the round.
+    ScheduleHarnessEvent(sim_.Now() + config_.peer_poll_seconds,
+                         {kHarnessRoundRetryTag, {}});
+    return false;
+  }
+  if (degraded) ++rounds_degraded_;
+  return true;
 }
 
 void ExperimentHarness::EndSlowdown(int worker, double factor) {
@@ -383,6 +521,28 @@ int64_t ExperimentHarness::MessagePayloadBytes(int64_t round) const {
   if (!compression_enabled()) return config_.profile.message_bytes();
   return compressor_.Describe(config_.profile.num_parameters, round)
       .PayloadBytes();
+}
+
+double ExperimentHarness::RingAllreduceSeconds(const std::vector<int>& ring,
+                                               int64_t round) {
+  const int g = static_cast<int>(ring.size());
+  const double now = sim_.Now();
+  const int64_t baseline_chunk = config_.profile.message_bytes() / g;
+  const int64_t chunk_bytes = MessagePayloadBytes(round) / g;
+  const int64_t chunk_messages = static_cast<int64_t>(g) * 2 * (g - 1);
+  AccountWire(chunk_messages, chunk_messages * chunk_bytes,
+              chunk_messages * baseline_chunk);
+  double step_seconds = 0.0;
+  double latency_seconds = 0.0;
+  for (int k = 0; k < g; ++k) {
+    const int a = ring[static_cast<size_t>(k)];
+    const int b = ring[static_cast<size_t>((k + 1) % g)];
+    const double latency = links_->TransferSeconds(a, b, now, 0);
+    const double chunk = links_->TransferSeconds(a, b, now, chunk_bytes);
+    step_seconds = std::max(step_seconds, chunk - latency);
+    latency_seconds = std::max(latency_seconds, latency);
+  }
+  return 2.0 * (g - 1) * step_seconds + 2.0 * latency_seconds;
 }
 
 double ExperimentHarness::SendSeconds(int src, int dst, int64_t round) {

@@ -36,8 +36,8 @@
 
 namespace netmax::core {
 
-// How an engine treats a neighbor that is dead (left/crashed) or stalled
-// when a round needs it (net/fault_schedule.h faults):
+// How a run treats a neighbor that is dead (left/crashed) or stalled when a
+// round needs it (net/fault_schedule.h faults):
 //  * kWait — block the round on the peer, re-probing at a deterministic
 //    virtual-time cadence (peer_poll_seconds) until it returns. Matches the
 //    synchronous semantics of the paper's algorithms; a peer that never
@@ -45,8 +45,9 @@ namespace netmax::core {
 //  * kTimeoutAndContinue — wait at most peer_timeout_seconds of virtual
 //    time, then degrade gracefully: pull-based engines fall back to a local
 //    step, round-based engines drop the peer from the round's membership.
-// Both policies are pure virtual-time control flow, so fault runs stay
-// bit-identical across backends, threads, and shards.
+// ExperimentHarness implements both for every engine (see "dead-peer policy"
+// there). Both policies are pure virtual-time control flow, so fault runs
+// stay bit-identical across backends, threads, and shards.
 enum class PeerPolicy {
   kWait,
   kTimeoutAndContinue,
@@ -71,6 +72,15 @@ inline constexpr int64_t kHarnessSlowdownEndTag = kHarnessFaultTag + 1;
 inline constexpr int64_t kHarnessCadenceTag = kHarnessFaultTag + 2;
 // args: [at_seconds] — the one-shot checkpoint_at_seconds event.
 inline constexpr int64_t kHarnessCheckpointTag = kHarnessFaultTag + 3;
+// args: [worker, peer, waited_seconds] — a kWait re-probe of a dead peer.
+inline constexpr int64_t kHarnessPeerWaitTag = kHarnessFaultTag + 4;
+// args: [worker, peer] — a kTimeoutAndContinue deadline on a dead peer.
+inline constexpr int64_t kHarnessPeerTimeoutTag = kHarnessFaultTag + 5;
+// Compute event keyed by the worker, args: [compute_seconds, wall_seconds] —
+// the local step a worker takes after abandoning a dead peer.
+inline constexpr int64_t kHarnessLocalStepTag = kHarnessFaultTag + 6;
+// args: [] — re-runs a synchronous round that was blocked or left empty.
+inline constexpr int64_t kHarnessRoundRetryTag = kHarnessFaultTag + 7;
 
 enum class PartitionScheme {
   kUniform,     // Sections V-B..E
@@ -405,6 +415,14 @@ class ExperimentHarness {
   // engines that do their own multi-chunk timing (ring allreduce).
   int64_t MessagePayloadBytes(int64_t round) const;
 
+  // One ring allreduce of a model-sized message over `ring` (>= 2 workers,
+  // in ring order) in communication round `round`: accounts the 2(G-1)
+  // chunk steps of G concurrent 1/G-model messages on the wire and returns
+  // the uncontended ring seconds. Each step is paced by the slowest ring
+  // link at the current virtual time; the chunks are pipelined, so the
+  // per-message latency (a 0-byte transfer) is paid once per direction.
+  double RingAllreduceSeconds(const std::vector<int>& ring, int64_t round);
+
   // Adds `messages` sends totalling `payload_bytes` on the wire against a
   // dense baseline of `baseline_bytes` to the wire counters (commit contexts
   // only). SendSeconds is a convenience over this.
@@ -476,8 +494,7 @@ class ExperimentHarness {
 
   // True once worker w has trained for config.max_epochs epochs, the time
   // cap has been reached, or the worker is currently dead (left via a fault;
-  // a later join fault revives it and the engine's fault listener restarts
-  // it).
+  // a later join fault revives it and restarts its parked chain).
   bool WorkerDone(int w) const;
   bool AllDone() const;
 
@@ -495,19 +512,87 @@ class ExperimentHarness {
            compute_factor_[static_cast<size_t>(w)];
   }
 
-  // Called by the harness after applying each fault, on the simulator thread
-  // at the fault's virtual time. Engines use it to restart a rejoining
-  // worker (kJoin) or drop a dead one from waiting rooms (kLeave). Must be
-  // (re-)registered on every run, including restored ones — listeners are
-  // not checkpointed.
+  // Called by the harness after applying each fault (and after restarting a
+  // rejoining worker's parked chain), on the simulator thread at the fault's
+  // virtual time. Prague uses it to evict a leaving worker from its waiting
+  // room. Must be (re-)registered on every run, including restored ones —
+  // listeners are not checkpointed.
   using FaultListener = std::function<void(const net::FaultEvent&)>;
   void set_fault_listener(FaultListener listener) {
     fault_listener_ = std::move(listener);
   }
 
+  // --- dead-peer policy (PeerPolicy) ---
+  // The one implementation of config.peer_policy, shared by every engine:
+  //  * Iteration chains. Chain engines run one self-rescheduling iteration
+  //    chain per worker and call ContinueChain at the top of each iteration.
+  //    A worker that is done parks its chain; a join fault restarts a parked
+  //    chain (and only a parked one, so no worker ever runs two chains).
+  //  * Pull waits. Pull engines hand each drawn peer to PullFrom, which
+  //    issues the pull at once when the peer is alive and otherwise runs the
+  //    policy's episode as harness-tagged events: kWait re-probes every
+  //    peer_poll_seconds and issues the pull once the peer is back;
+  //    kTimeoutAndContinue arms one peer_timeout_seconds deadline, after
+  //    which the worker takes a local step instead. The pull's commit asks
+  //    PullLost whether the peer died while the pull was in flight.
+  //  * Round membership. Synchronous round engines take every round's
+  //    members from SelectRoundMembers.
+  // The episodes' events are harness-tagged, so a checkpoint restores them
+  // without the engine, and the parked flags and round-blockage flag are
+  // part of the harness's checkpointed state.
+
+  // Registers the engine's chain entry points; like the fault listener, on
+  // every run, restored ones included. `start(w)` begins worker w's next
+  // iteration. `pull(w, m, waited)` issues w's pull from the live peer m
+  // after w waited `waited` virtual seconds for it (0 when m was alive at
+  // the draw); only pull engines pass one.
+  using PullIssuer = std::function<void(int w, int m, double waited)>;
+  void SetIterationChain(std::function<void(int)> start,
+                         PullIssuer pull = nullptr) {
+    chain_start_ = std::move(start);
+    pull_issuer_ = std::move(pull);
+  }
+
+  // Top of every chain iteration: false once WorkerDone(w), in which case
+  // w's chain is now parked and the caller must stop it.
+  bool ContinueChain(int w) {
+    parked_[static_cast<size_t>(w)] = WorkerDone(w) ? 1 : 0;
+    return parked_[static_cast<size_t>(w)] == 0;
+  }
+
+  // Parks w's chain where the engine itself stops it (Prague: a worker that
+  // left while waiting for a group).
+  void ParkChain(int w) { parked_[static_cast<size_t>(w)] = 1; }
+
+  // w's draw selected peer m: issues the pull now if m is alive, otherwise
+  // counts a degraded round and starts the policy's wait episode.
+  void PullFrom(int w, int m);
+
+  // Commit-side check of w's pull from m. When m died while the pull was in
+  // flight the round degrades: w keeps its local gradient progress (applied
+  // here), skips the exchange, accounts the iteration and continues its
+  // chain, and this returns true.
+  bool PullLost(int w, int m, double compute_seconds, double wall_seconds);
+
+  // Registers the engine's round entry point (the re-run of a round that
+  // SelectRoundMembers turned away), on every run like SetIterationChain.
+  void SetRoundRunner(std::function<void()> run_round) {
+    round_runner_ = std::move(run_round);
+  }
+
+  // Fills *members with this round's membership. kWait blocks the whole
+  // round while any worker is dead (counting one degraded round per
+  // blockage); kTimeoutAndContinue runs with the live workers and also drops
+  // stragglers whose slowed compute would hold the round more than
+  // peer_timeout_seconds past the fastest member. Returns false when the
+  // round cannot run yet; the harness then re-runs it through the round
+  // runner after peer_poll_seconds. A fault-free run always gets everyone.
+  bool SelectRoundMembers(std::vector<int>* members);
+
   // Degradation accounting, surfaced in RunResult. Engines call these when a
-  // round proceeds without (or delayed by) a dead/stalled peer and when a
-  // timeout-and-continue deadline abandons one.
+  // round proceeds without a dead peer outside the shared paths above
+  // (GoSGD's dropped pushes, Prague's waiting room) and when Prague's
+  // waiting-room deadline abandons a group.
   void CountDegradedRound() { ++rounds_degraded_; }
   void CountPeerTimeout() { ++peers_timed_out_; }
   int64_t faults_injected() const { return faults_injected_; }
@@ -582,15 +667,22 @@ class ExperimentHarness {
   // The fault handlers, run at their virtual time on the simulator thread.
   void ApplyFault(const net::FaultEvent& fault);
   void EndSlowdown(int worker, double factor);
+  // The dead-peer episode handlers (PullFrom's harness-tagged events).
+  void PeerWaitTick(int w, int m, double waited);
+  void PeerTimeoutExpired(int w, int m);
+  void LocalStepDone(int w, double compute_seconds, double wall_seconds,
+                     double loss);
 
   // core/checkpoint.cc.
   // Maps a harness-tagged SavedEvent (faults, cadence ticks, the one-shot
-  // checkpoint event) back to its closure; Restore wraps the engine's
-  // rebuilder with this so engines never see harness tags.
+  // checkpoint event, dead-peer waits) back to its closure; Restore wraps
+  // the engine's rebuilder with this so engines never see harness tags.
   StatusOr<net::RebuiltEvent> BuildHarnessEvent(const net::SavedEvent& saved);
   // Schedules a harness event through BuildHarnessEvent, so live scheduling
-  // and restore-time rebuilding share one closure definition per tag.
-  void ScheduleHarnessEvent(double time, net::EventPayload payload);
+  // and restore-time rebuilding share one closure definition per tag. A
+  // non-negative `worker_key` makes it a compute event keyed by that worker.
+  void ScheduleHarnessEvent(double time, net::EventPayload payload,
+                            int worker_key = -1);
   void OneShotCheckpoint(double at);
   void CadenceTick(int64_t tick_index);
   StatusOr<std::vector<uint8_t>> SerializeCheckpoint(
@@ -650,6 +742,16 @@ class ExperimentHarness {
   ml::GradientCompressor compressor_;
   std::vector<double> compression_scratch_;
   FaultListener fault_listener_;  // not checkpointed; re-registered per run
+
+  // Dead-peer policy state (checkpointed): per-worker "iteration chain is
+  // parked" flags, and whether a kWait round is currently blocked on a dead
+  // worker (so the degraded-round count increments once per blockage, not
+  // per re-probe). The engine entry points are re-registered per run.
+  std::vector<uint8_t> parked_;
+  bool round_blocked_ = false;
+  std::function<void(int)> chain_start_;
+  PullIssuer pull_issuer_;
+  std::function<void()> round_runner_;
 
   // Outcome of the armed checkpoint(s), if any.
   Status checkpoint_status_;

@@ -10,7 +10,6 @@
 #include "core/checkpoint.h"
 #include "core/monitor.h"
 #include "linalg/vector_ops.h"
-#include "net/fault_schedule.h"
 
 namespace netmax::core {
 namespace {
@@ -51,10 +50,12 @@ class NetMaxEngine {
             static_cast<size_t>(n),
             ExponentialMovingAverage(config_.ema_beta)));
 
-    parked_.assign(static_cast<size_t>(n), 0);
     builder_ = [this](const net::SavedEvent& event) {
       return BuildEvent(event);
     };
+    harness_.SetIterationChain(
+        [this](int w) { StartIteration(w); },
+        [this](int w, int m, double waited) { IssuePull(w, m, waited); });
     if (harness_.restore_requested()) {
       NETMAX_RETURN_IF_ERROR(harness_.Restore(
           [this](Deserializer& in) { return RestoreEngineState(in); },
@@ -67,16 +68,6 @@ class NetMaxEngine {
     }
     harness_.ArmCheckpoint(
         [this](Serializer& out) { return SaveEngineState(out); });
-    // A rejoining worker whose iteration chain parked (it was dead when its
-    // last commit tried to start the next iteration) is restarted here; a
-    // worker that rejoins while its final pre-leave event is still in flight
-    // keeps its chain and must not get a second one.
-    harness_.set_fault_listener([this](const net::FaultEvent& fault) {
-      if (fault.kind == net::FaultKind::kJoin &&
-          parked_[static_cast<size_t>(fault.worker)] != 0) {
-        StartIteration(fault.worker);
-      }
-    });
     harness_.sim().RunUntilIdle();
     NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
     harness_.set_policies_generated(monitor_->policies_generated());
@@ -89,9 +80,6 @@ class NetMaxEngine {
     kSelfStep = 0,      // compute event: args [compute_seconds]
     kPull = 1,  // compute event: args [peer, compute_secs, wall_secs, round]
     kMonitorTick = 2,   // plain event: args []
-    kDegradedStep = 3,  // compute event: args [compute_secs, wall_secs]
-    kPeerWait = 4,      // plain event: args [worker, peer, waited_secs]
-    kPeerTimeout = 5,   // plain event: args [worker, peer]
   };
 
   void Emit(double delay, int worker_key, net::EventPayload payload) {
@@ -136,37 +124,6 @@ class NetMaxEngine {
         rebuilt.plain = [this] { MonitorTick(); };
         return rebuilt;
       }
-      case kDegradedStep: {
-        const int w = event.worker_key;
-        if (w < 0 || w >= n || args.size() != 2) break;
-        const double compute = args[0];
-        const double wall = args[1];
-        rebuilt.compute = [this, w] { return harness_.EvalBatchGradient(w); };
-        rebuilt.commit = [this, w, compute, wall](double loss) {
-          harness_.CommitBatchStats(w, loss);
-          harness_.ApplyStoredGradient(w);
-          harness_.AccountIteration(w, compute, wall);
-          StartIteration(w);
-        };
-        return rebuilt;
-      }
-      case kPeerWait: {
-        if (event.worker_key >= 0 || args.size() != 3) break;
-        const int w = static_cast<int>(args[0]);
-        const int m = static_cast<int>(args[1]);
-        const double waited = args[2];
-        if (w < 0 || w >= n || m < 0 || m >= n || m == w) break;
-        rebuilt.plain = [this, w, m, waited] { PeerWaitTick(w, m, waited); };
-        return rebuilt;
-      }
-      case kPeerTimeout: {
-        if (event.worker_key >= 0 || args.size() != 2) break;
-        const int w = static_cast<int>(args[0]);
-        const int m = static_cast<int>(args[1]);
-        if (w < 0 || w >= n || m < 0 || m >= n || m == w) break;
-        rebuilt.plain = [this, w, m] { PeerTimeoutExpired(w, m); };
-        return rebuilt;
-      }
       default:
         break;
     }
@@ -179,7 +136,6 @@ class NetMaxEngine {
     out.WriteDouble(rho_);
     SaveEmaGrid(out, ema_times_);
     out.WriteI64(monitor_->policies_generated());
-    for (const uint8_t parked : parked_) out.WriteBool(parked != 0);
     return Status::Ok();
   }
 
@@ -197,99 +153,30 @@ class NetMaxEngine {
       return InvalidArgumentError("negative policies_generated count");
     }
     monitor_->set_policies_generated(generated);
-    for (size_t w = 0; w < parked_.size(); ++w) {
-      NETMAX_ASSIGN_OR_RETURN(const bool parked, in.ReadBool());
-      parked_[w] = parked ? 1 : 0;
-    }
     return Status::Ok();
   }
 
   void StartIteration(int w) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
-      return;
-    }
-    parked_[static_cast<size_t>(w)] = 0;
+    if (!harness_.ContinueChain(w)) return;
     WorkerRuntime& worker = harness_.worker(w);
     const int m = worker.rng.Discrete(policy_->Row(w));
-    const double compute = harness_.EffectiveComputeSeconds(w);
-    if (m != w && !harness_.WorkerAlive(m)) {
-      // The drawn peer is dead: hold this round per the peer policy. The
-      // batch is sampled only when (and if) the pull actually goes out.
-      BeginPeerWait(w, m);
+    if (m != w) {
+      harness_.PullFrom(w, m);
       return;
     }
-    // Two-phase iteration: the peer draw and batch sampling happen here (the
-    // commit context of the previous iteration), the gradient evaluation is
-    // the pure compute half, and CompleteIteration is the ordered commit.
-    harness_.SampleBatch(w);
-    if (m == w) {
-      // Self-selection: pure local step, no communication this iteration.
-      Emit(compute, w, {kSelfStep, {compute}});
-      return;
-    }
-    const int64_t round = harness_.NextCommRound(w);
-    const double transfer = harness_.SendSeconds(m, w, round);
-    const double wall = config_.overlap_communication
-                            ? std::max(compute, transfer)
-                            : compute + transfer;
-    Emit(wall, w,
-         {kPull,
-          {static_cast<double>(m), compute, wall,
-           static_cast<double>(round)}});
-  }
-
-  // Peer m was dead when w's draw selected it. kWait re-probes liveness at
-  // the poll cadence (bounded by the run's virtual-time cap); kTimeoutAnd-
-  // Continue arms a single deadline after which w degrades to a local step.
-  void BeginPeerWait(int w, int m) {
-    harness_.CountDegradedRound();
-    if (config_.peer_policy == PeerPolicy::kTimeoutAndContinue) {
-      Emit(config_.peer_timeout_seconds, kPlainEvent,
-           {kPeerTimeout, {static_cast<double>(w), static_cast<double>(m)}});
-    } else {
-      Emit(config_.peer_poll_seconds, kPlainEvent,
-           {kPeerWait,
-            {static_cast<double>(w), static_cast<double>(m),
-             config_.peer_poll_seconds}});
-    }
-  }
-
-  void PeerWaitTick(int w, int m, double waited) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
-      return;
-    }
-    if (harness_.WorkerAlive(m)) {
-      ResumePull(w, m, waited);
-      return;
-    }
-    Emit(config_.peer_poll_seconds, kPlainEvent,
-         {kPeerWait,
-          {static_cast<double>(w), static_cast<double>(m),
-           waited + config_.peer_poll_seconds}});
-  }
-
-  void PeerTimeoutExpired(int w, int m) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
-      return;
-    }
-    if (harness_.WorkerAlive(m)) {
-      ResumePull(w, m, config_.peer_timeout_seconds);
-      return;
-    }
-    harness_.CountPeerTimeout();
+    // Self-selection: pure local step, no communication this iteration.
     const double compute = harness_.EffectiveComputeSeconds(w);
     harness_.SampleBatch(w);
-    Emit(compute, w,
-         {kDegradedStep, {compute, config_.peer_timeout_seconds + compute}});
+    Emit(compute, w, {kSelfStep, {compute}});
   }
 
-  // The held pull goes out: the iteration's wall time accounts the wait on
-  // top of the usual compute/transfer leg (the Emit delay covers only the
-  // latter — the wait already elapsed in virtual time).
-  void ResumePull(int w, int m, double waited) {
+  // Two-phase iteration: the peer draw and batch sampling happen in the
+  // commit context of the previous iteration (or of the dead-peer wait that
+  // held it), the gradient evaluation is the pure compute half, and
+  // CompleteIteration is the ordered commit. The iteration's wall time
+  // accounts any wait on top of the compute/transfer leg (the Emit delay
+  // covers only the latter — the wait already elapsed in virtual time).
+  void IssuePull(int w, int m, double waited) {
     const double compute = harness_.EffectiveComputeSeconds(w);
     harness_.SampleBatch(w);
     const int64_t round = harness_.NextCommRound(w);
@@ -306,18 +193,12 @@ class NetMaxEngine {
   void CompleteIteration(int w, int m, double compute, double wall,
                          int64_t round, double loss) {
     WorkerRuntime& worker = harness_.worker(w);
-    // First-step update: local gradients (Algorithm 2 line 11).
     harness_.CommitBatchStats(w, loss);
+    // A peer that died in flight leaves only the local step (and no EMA
+    // sample — there was no successful communication to measure).
+    if (harness_.PullLost(w, m, compute, wall)) return;
+    // First-step update: local gradients (Algorithm 2 line 11).
     harness_.ApplyStoredGradient(w);
-    if (!harness_.WorkerAlive(m)) {
-      // The peer died while this pull was in flight: keep the local gradient
-      // progress, skip the consensus leg (and its EMA sample — there was no
-      // successful communication to measure).
-      harness_.CountDegradedRound();
-      harness_.AccountIteration(w, compute, wall);
-      StartIteration(w);
-      return;
-    }
     // Second-step update: consensus pull (lines 13-14) against m's current
     // ("freshest") parameters:
     //   x_i <- x_i - alpha * rho/p_{i,m} * (x_i - x_m).
@@ -396,11 +277,6 @@ class NetMaxEngine {
   std::unique_ptr<NetworkMonitor> monitor_;
   double rho_ = 0.0;
   std::vector<std::vector<ExponentialMovingAverage>> ema_times_;
-  // Per-worker "iteration chain is parked" flag: set when WorkerDone stopped
-  // the chain (death, finish, or time cap), cleared when it restarts. The
-  // join fault listener restarts only parked chains, so a worker can never
-  // run two chains at once.
-  std::vector<uint8_t> parked_;
   net::EventRebuilder builder_;
 };
 

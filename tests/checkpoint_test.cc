@@ -388,6 +388,23 @@ TEST(CheckpointErrors, BadMagicIsRejected) {
   EXPECT_NE(status.message().find("magic"), std::string::npos);
 }
 
+TEST(CheckpointErrors, OtherVersionIsRejected) {
+  // A checkpoint stamped with another format version is refused, not
+  // misread: version 3 kept the parked-chain flags in the engine blobs.
+  const ExperimentConfig base = BaseConfig();
+  std::vector<uint8_t> checkpoint = MakeCheckpoint(base);
+  Serializer old_version;
+  old_version.WriteU32(core::kCheckpointVersion - 1);
+  std::copy(old_version.bytes().begin(), old_version.bytes().end(),
+            checkpoint.begin() + 4);
+  ExperimentConfig resumed = base;
+  resumed.restore_source = &checkpoint;
+  const Status status = TryRun("gossip", resumed);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("version"), std::string::npos)
+      << status.ToString();
+}
+
 TEST(CheckpointErrors, TrailingGarbageIsRejected) {
   const ExperimentConfig base = BaseConfig();
   std::vector<uint8_t> checkpoint = MakeCheckpoint(base);
