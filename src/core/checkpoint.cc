@@ -242,7 +242,8 @@ StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
     case kHarnessPeerWaitTag:
     case kHarnessPeerTimeoutTag: {
       const bool wait = saved.payload.tag == kHarnessPeerWaitTag;
-      if (saved.worker_key >= 0 || args.size() != (wait ? 3u : 2u)) {
+      if (saved.worker_key >= 0 || args.size() != (wait ? 3u : 2u) ||
+          pull_issuer_ == nullptr) {
         return InvalidArgumentError("malformed harness peer-wait event");
       }
       const int w = static_cast<int>(args[0]);
@@ -261,7 +262,8 @@ StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
     }
     case kHarnessLocalStepTag: {
       const int w = saved.worker_key;
-      if (w < 0 || w >= config_.num_workers || args.size() != 2) {
+      if (w < 0 || w >= config_.num_workers || args.size() != 2 ||
+          chain_start_ == nullptr) {
         return InvalidArgumentError("malformed harness local-step event");
       }
       const double compute = args[0];
@@ -273,7 +275,7 @@ StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
       return rebuilt;
     }
     case kHarnessRoundRetryTag: {
-      if (saved.worker_key >= 0 || !args.empty()) {
+      if (saved.worker_key >= 0 || !args.empty() || round_runner_ == nullptr) {
         return InvalidArgumentError("malformed harness round-retry event");
       }
       rebuilt.plain = [this] { round_runner_(); };
@@ -511,8 +513,8 @@ Status ExperimentHarness::Restore(const EngineStateRestorer& restore_engine,
   sim_.RestoreClock(now, next_sequence, processed);
   // Harness-tagged events (pending faults, cadence ticks, the one-shot
   // checkpoint event, dead-peer waits) are rebuilt by the harness itself;
-  // everything else is the engine's. Restoring a pending cadence tick also tells ArmCheckpoint
-  // not to arm a duplicate.
+  // everything else is the engine's. Restoring a pending cadence tick also
+  // tells ArmCheckpoint not to arm a duplicate.
   cadence_tick_restored_ = false;
   const net::EventRebuilder wrapped_rebuilder =
       [this, &rebuilder](

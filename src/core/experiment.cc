@@ -361,7 +361,7 @@ void ExperimentHarness::ApplyFault(const net::FaultEvent& fault) {
   // A rejoining worker whose chain parked (it was dead when its last commit
   // tried to start the next iteration) restarts here; a worker that rejoins
   // while its pre-leave event is still in flight keeps that chain.
-  if (fault.kind == net::FaultKind::kJoin &&
+  if (fault.kind == net::FaultKind::kJoin && chain_start_ != nullptr &&
       parked_[static_cast<size_t>(fault.worker)] != 0) {
     chain_start_(fault.worker);
   }

@@ -592,7 +592,7 @@ class ExperimentHarness {
   // Degradation accounting, surfaced in RunResult. Engines call these when a
   // round proceeds without a dead peer outside the shared paths above
   // (GoSGD's dropped pushes, Prague's waiting room) and when Prague's
-  // waiting-room deadline abandons a group.
+  // waiting-room deadline gives up on forming a group.
   void CountDegradedRound() { ++rounds_degraded_; }
   void CountPeerTimeout() { ++peers_timed_out_; }
   int64_t faults_injected() const { return faults_injected_; }
