@@ -40,11 +40,14 @@ class LazyGossipAlgorithm : public core::TrainingAlgorithm {
       const core::ExperimentConfig& config) const override {
     core::ExperimentHarness harness(config, name());
     NETMAX_RETURN_IF_ERROR(harness.Init());
-    for (int w = 0; w < harness.num_workers(); ++w) {
-      StartIteration(harness, w);
-    }
-    harness.sim().RunUntilIdle();
-    return harness.Finalize();
+    // The harness runs the lifecycle around the engine's hooks; this engine
+    // only needs `start`. (A checkpointable engine also passes `build`,
+    // `save` and `restore` and schedules through harness.Emit.)
+    return harness.Run({.start = [this, &harness] {
+      for (int w = 0; w < harness.num_workers(); ++w) {
+        StartIteration(harness, w);
+      }
+    }});
   }
 
  private:

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/stats.h"
 #include "core/checkpoint.h"
 #include "core/monitor.h"
 #include "core/policy.h"
@@ -29,13 +28,13 @@ class AdPsgdEngine {
   StatusOr<RunResult> Run() {
     NETMAX_RETURN_IF_ERROR(harness_.Init());
     const int n = harness_.num_workers();
-    topology_ = &harness_.topology();
     policy_ = std::make_unique<CommunicationPolicy>(
-        CommunicationPolicy::Uniform(*topology_));
+        CommunicationPolicy::Uniform(harness_.topology()));
 
     if (with_monitor_) {
       core::MonitorOptions monitor_options;
       monitor_options.schedule_period_seconds = config_.monitor_period_seconds;
+      monitor_options.ema_beta = config_.ema_beta;
       monitor_options.generator = config_.generator;
       monitor_options.generator.alpha = config_.learning_rate;
       // Section III-D: the same optimization with the averaging-mode Y matrix
@@ -43,53 +42,38 @@ class AdPsgdEngine {
       monitor_options.generator.mode =
           core::PolicyGeneratorOptions::Mode::kAveraging;
       monitor_options.generator.averaging_weight = 0.5;
-      monitor_ = std::make_unique<core::NetworkMonitor>(*topology_,
+      monitor_ = std::make_unique<core::NetworkMonitor>(harness_.topology(),
                                                         monitor_options);
-      ema_times_.assign(
-          static_cast<size_t>(n),
-          std::vector<ExponentialMovingAverage>(
-              static_cast<size_t>(n),
-              ExponentialMovingAverage(config_.ema_beta)));
     }
 
-    builder_ = [this](const net::SavedEvent& event) {
-      return BuildEvent(event);
-    };
-    harness_.SetIterationChain(
-        [this](int w) { StartIteration(w); },
-        [this](int w, int m, double waited) { IssuePull(w, m, waited); });
-    if (harness_.restore_requested()) {
-      NETMAX_RETURN_IF_ERROR(harness_.Restore(
-          [this](Deserializer& in) { return RestoreEngineState(in); },
-          builder_));
-    } else {
-      if (with_monitor_) {
-        Emit(config_.monitor_period_seconds, core::kPlainEvent,
-             {kMonitorTick, {}});
-      }
-      for (int w = 0; w < n; ++w) StartIteration(w);
-    }
-    harness_.ArmCheckpoint(
-        [this](Serializer& out) { return SaveEngineState(out); });
-    harness_.sim().RunUntilIdle();
-    NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
-    if (monitor_ != nullptr) {
-      harness_.set_policies_generated(monitor_->policies_generated());
-    }
-    return harness_.Finalize();
+    return harness_.Run({
+        .build = [this](const net::SavedEvent& event) {
+          return BuildEvent(event);
+        },
+        .start =
+            [this, n] {
+              if (with_monitor_) {
+                harness_.Emit(config_.monitor_period_seconds,
+                              core::kPlainEvent, {kMonitorTick, {}});
+              }
+              for (int w = 0; w < n; ++w) StartIteration(w);
+            },
+        .save = [this](Serializer& out) { return SaveEngineState(out); },
+        .restore = [this](Deserializer& in) { return RestoreEngineState(in); },
+        .chain = [this](int w) { StartIteration(w); },
+        .pull = [this](int w, int m, double waited) {
+          IssuePull(w, m, waited);
+        },
+        .monitor = monitor_.get(),
+    });
   }
 
  private:
-  // Checkpoint reification tags (core/checkpoint.h).
+  // Reified event tags (ExperimentHarness::Emit).
   enum Tag : int64_t {
     kIterate = 0,  // compute event: args [peer, compute_secs, wall_secs, round]
     kMonitorTick = 1,  // plain event: args []
   };
-
-  void Emit(double delay, int worker_key, net::EventPayload payload) {
-    core::ScheduleReified(harness_.sim(), delay, worker_key,
-                          std::move(payload), builder_);
-  }
 
   StatusOr<net::RebuiltEvent> BuildEvent(const net::SavedEvent& event) {
     const std::vector<double>& args = event.payload.args;
@@ -123,29 +107,29 @@ class AdPsgdEngine {
 
   Status SaveEngineState(Serializer& out) {
     core::SaveMatrix(out, policy_->matrix());
-    if (with_monitor_) {
-      core::SaveEmaGrid(out, ema_times_);
-      out.WriteI64(monitor_->policies_generated());
-    }
+    if (with_monitor_) monitor_->Save(out);
     return Status::Ok();
   }
 
   Status RestoreEngineState(Deserializer& in) {
-    NETMAX_ASSIGN_OR_RETURN(linalg::Matrix matrix, core::LoadMatrix(in));
-    const int n = harness_.num_workers();
-    if (matrix.rows() != n || matrix.cols() != n) {
-      return InvalidArgumentError("checkpoint policy matrix shape mismatch");
-    }
-    policy_ = std::make_unique<CommunicationPolicy>(std::move(matrix));
-    if (with_monitor_) {
-      NETMAX_RETURN_IF_ERROR(core::RestoreEmaGrid(in, &ema_times_));
-      NETMAX_ASSIGN_OR_RETURN(const int64_t generated, in.ReadI64());
-      if (generated < 0) {
-        return InvalidArgumentError("negative policies_generated count");
+    NETMAX_ASSIGN_OR_RETURN(CommunicationPolicy policy,
+                            core::LoadPolicy(in, harness_.topology()));
+    // StartIteration redraws until it draws a peer, so every row needs some
+    // neighbor mass.
+    const int n = policy.num_workers();
+    for (int w = 0; w < n; ++w) {
+      bool has_neighbor_mass = false;
+      for (int m = 0; m < n; ++m) {
+        if (m != w && policy.probability(w, m) > 0.0) has_neighbor_mass = true;
       }
-      monitor_->set_policies_generated(generated);
+      if (!has_neighbor_mass) {
+        return InvalidArgumentError("checkpointed policy row " +
+                                    std::to_string(w) +
+                                    " has no neighbor mass");
+      }
     }
-    return Status::Ok();
+    policy_ = std::make_unique<CommunicationPolicy>(std::move(policy));
+    return with_monitor_ ? monitor_->Restore(in) : Status::Ok();
   }
 
   void StartIteration(int w) {
@@ -167,10 +151,10 @@ class AdPsgdEngine {
     const double transfer = harness_.SendSeconds(m, w, round);
     harness_.SampleBatch(w);
     const double wall = std::max(compute, transfer);
-    Emit(wall, w,
-         {kIterate,
-          {static_cast<double>(m), compute, waited + wall,
-           static_cast<double>(round)}});
+    harness_.Emit(wall, w,
+                  {kIterate,
+                   {static_cast<double>(m), compute, waited + wall,
+                    static_cast<double>(round)}});
   }
 
   void CompleteIteration(int w, int m, double compute, double wall,
@@ -213,42 +197,28 @@ class AdPsgdEngine {
       }
     }
     harness_.ApplyStoredGradient(w);
-    if (with_monitor_) {
-      ema_times_[static_cast<size_t>(w)][static_cast<size_t>(m)].Add(wall);
-    }
+    if (with_monitor_) monitor_->Record(w, m, wall);
     harness_.AccountIteration(w, compute, wall);
     StartIteration(w);
   }
 
   void MonitorTick() {
     if (harness_.AllDone()) return;
-    const int n = harness_.num_workers();
-    linalg::Matrix times(n, n, 0.0);
-    for (int i = 0; i < n; ++i) {
-      for (int m : topology_->Neighbors(i)) {
-        const auto& ema =
-            ema_times_[static_cast<size_t>(i)][static_cast<size_t>(m)];
-        if (ema.has_value()) times(i, m) = ema.value();
-      }
-    }
     StatusOr<core::GeneratedPolicy> generated =
-        monitor_->ComputePolicy(times, harness_.pool());
+        monitor_->Tick(harness_.pool());
     if (generated.ok()) {
       policy_ = std::make_unique<CommunicationPolicy>(
           std::move(generated.value().policy));
     }
-    Emit(config_.monitor_period_seconds, core::kPlainEvent,
-         {kMonitorTick, {}});
+    harness_.Emit(config_.monitor_period_seconds, core::kPlainEvent,
+                  {kMonitorTick, {}});
   }
 
   ExperimentHarness harness_;
   ExperimentConfig config_;
   bool with_monitor_;
-  const net::Topology* topology_ = nullptr;
   std::unique_ptr<CommunicationPolicy> policy_;
   std::unique_ptr<core::NetworkMonitor> monitor_;
-  std::vector<std::vector<ExponentialMovingAverage>> ema_times_;
-  net::EventRebuilder builder_;
 };
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/checkpoint.h"
 #include "linalg/vector_ops.h"
 
 namespace netmax::algos {
@@ -22,41 +21,32 @@ class AllreduceEngine {
 
   StatusOr<RunResult> Run() {
     NETMAX_RETURN_IF_ERROR(harness_.Init());
-    builder_ = [this](const net::SavedEvent& event) {
-      return BuildEvent(event);
-    };
+    // A restored queue carries the round's pending compute events; the
+    // engine blob carries its membership and the outstanding-commit count.
     // A rejoining worker is picked up by the next round's membership.
-    harness_.SetRoundRunner([this] { RunRound(); });
-    if (harness_.restore_requested()) {
-      // The restored queue carries the round's pending compute events; the
-      // engine blob carries its membership and the outstanding-commit count.
-      NETMAX_RETURN_IF_ERROR(harness_.Restore(
-          [this](Deserializer& in) { return RestoreEngineState(in); },
-          builder_));
-    } else {
-      Emit(0.0, core::kPlainEvent, {kRunRound, {}});
-    }
-    harness_.ArmCheckpoint([this](Serializer& out) {
-      out.WriteIntVec(members_);
-      out.WriteInt(pending_);
-      return Status::Ok();
+    return harness_.Run({
+        .build = [this](const net::SavedEvent& event) {
+          return BuildEvent(event);
+        },
+        .start = [this] {
+          harness_.Emit(0.0, core::kPlainEvent, {kRunRound, {}});
+        },
+        .save = [this](Serializer& out) {
+          out.WriteIntVec(members_);
+          out.WriteInt(pending_);
+          return Status::Ok();
+        },
+        .restore = [this](Deserializer& in) { return RestoreEngineState(in); },
+        .round = [this] { RunRound(); },
     });
-    harness_.sim().RunUntilIdle();
-    NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
-    return harness_.Finalize();
   }
 
  private:
-  // Checkpoint reification tags (core/checkpoint.h).
+  // Reified event tags (ExperimentHarness::Emit).
   enum Tag : int64_t {
     kRoundCompute = 0,  // compute event: one worker's gradient, args []
     kRunRound = 1,      // plain event: start the next round, args []
   };
-
-  void Emit(double delay, int worker_key, net::EventPayload payload) {
-    core::ScheduleReified(harness_.sim(), delay, worker_key,
-                          std::move(payload), builder_);
-  }
 
   StatusOr<net::RebuiltEvent> BuildEvent(const net::SavedEvent& event) {
     const std::vector<double>& args = event.payload.args;
@@ -102,7 +92,7 @@ class AllreduceEngine {
     pending_ = static_cast<int>(members_.size());
     for (int w : members_) {
       harness_.SampleBatch(w);
-      Emit(0.0, w, {kRoundCompute, {}});
+      harness_.Emit(0.0, w, {kRoundCompute, {}});
     }
   }
 
@@ -162,7 +152,7 @@ class AllreduceEngine {
       harness_.AccountIteration(members_[static_cast<size_t>(k)],
                                 computes[static_cast<size_t>(k)], wall);
     }
-    Emit(wall, core::kPlainEvent, {kRunRound, {}});
+    harness_.Emit(wall, core::kPlainEvent, {kRunRound, {}});
   }
 
   Status RestoreEngineState(Deserializer& in) {
@@ -183,7 +173,6 @@ class AllreduceEngine {
   // The current round's membership and its outstanding commit count.
   std::vector<int> members_;
   int pending_ = 0;
-  net::EventRebuilder builder_;
 };
 
 }  // namespace

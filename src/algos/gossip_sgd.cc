@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/checkpoint.h"
 
 namespace netmax::algos {
 namespace {
@@ -25,39 +24,30 @@ class GossipEngine {
     NETMAX_RETURN_IF_ERROR(harness_.Init());
     const int n = harness_.num_workers();
     push_busy_until_.assign(static_cast<size_t>(n), 0.0);
-    builder_ = [this](const net::SavedEvent& event) {
-      return BuildEvent(event);
-    };
-    harness_.SetIterationChain([this](int w) { StartIteration(w); });
-    if (harness_.restore_requested()) {
-      NETMAX_RETURN_IF_ERROR(harness_.Restore(
-          [this](Deserializer& in) {
-            return in.ReadDoubleSpan(push_busy_until_);
-          },
-          builder_));
-    } else {
-      for (int w = 0; w < n; ++w) StartIteration(w);
-    }
-    harness_.ArmCheckpoint([this](Serializer& out) {
-      out.WriteDoubleVec(push_busy_until_);
-      return Status::Ok();
+    return harness_.Run({
+        .build = [this](const net::SavedEvent& event) {
+          return BuildEvent(event);
+        },
+        .start = [this, n] {
+          for (int w = 0; w < n; ++w) StartIteration(w);
+        },
+        .save = [this](Serializer& out) {
+          out.WriteDoubleVec(push_busy_until_);
+          return Status::Ok();
+        },
+        .restore = [this](Deserializer& in) {
+          return in.ReadDoubleSpan(push_busy_until_);
+        },
+        .chain = [this](int w) { StartIteration(w); },
     });
-    harness_.sim().RunUntilIdle();
-    NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
-    return harness_.Finalize();
   }
 
  private:
-  // Checkpoint reification tags (core/checkpoint.h).
+  // Reified event tags (ExperimentHarness::Emit).
   enum Tag : int64_t {
     kIterate = 0,  // compute event: args [compute_seconds]
     kArrival = 1,  // plain event: args [receiver, round, sender snapshot...]
   };
-
-  void Emit(double delay, int worker_key, net::EventPayload payload) {
-    core::ScheduleReified(harness_.sim(), delay, worker_key,
-                          std::move(payload), builder_);
-  }
 
   StatusOr<net::RebuiltEvent> BuildEvent(const net::SavedEvent& event) {
     const std::vector<double>& args = event.payload.args;
@@ -131,7 +121,7 @@ class GossipEngine {
     if (!harness_.ContinueChain(w)) return;
     const double compute = harness_.EffectiveComputeSeconds(w);
     harness_.SampleBatch(w);
-    Emit(compute, w, {kIterate, {compute}});
+    harness_.Emit(compute, w, {kIterate, {compute}});
   }
 
   void MaybePush(int w) {
@@ -158,12 +148,11 @@ class GossipEngine {
     args.push_back(static_cast<double>(m));
     args.push_back(static_cast<double>(round));
     args.insert(args.end(), p.begin(), p.end());
-    Emit(transfer, core::kPlainEvent, {kArrival, std::move(args)});
+    harness_.Emit(transfer, core::kPlainEvent, {kArrival, std::move(args)});
   }
 
   ExperimentHarness harness_;
   std::vector<double> push_busy_until_;
-  net::EventRebuilder builder_;
 };
 
 }  // namespace

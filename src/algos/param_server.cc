@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/checkpoint.h"
 #include "linalg/vector_ops.h"
 
 namespace netmax::algos {
@@ -89,43 +88,34 @@ class PsSyncEngine {
     NETMAX_RETURN_IF_ERROR(harness_.Init());
     ps_ = std::make_unique<PsState>(harness_, harness_.config(),
                                     /*use_momentum=*/true);
-    builder_ = [this](const net::SavedEvent& event) {
-      return BuildEvent(event);
-    };
     // A rejoining worker is picked up by the next round's membership.
-    harness_.SetRoundRunner([this] { RunRound(); });
-    if (harness_.restore_requested()) {
-      NETMAX_RETURN_IF_ERROR(harness_.Restore(
-          [this](Deserializer& in) {
-            NETMAX_RETURN_IF_ERROR(ps_->RestoreState(in));
-            return RestoreRoundState(in);
-          },
-          builder_));
-    } else {
-      Emit(0.0, core::kPlainEvent, {kRunRound, {}});
-    }
-    harness_.ArmCheckpoint([this](Serializer& out) {
-      ps_->SaveState(out);
-      out.WriteIntVec(members_);
-      out.WriteInt(pending_);
-      return Status::Ok();
+    return harness_.Run({
+        .build = [this](const net::SavedEvent& event) {
+          return BuildEvent(event);
+        },
+        .start = [this] {
+          harness_.Emit(0.0, core::kPlainEvent, {kRunRound, {}});
+        },
+        .save = [this](Serializer& out) {
+          ps_->SaveState(out);
+          out.WriteIntVec(members_);
+          out.WriteInt(pending_);
+          return Status::Ok();
+        },
+        .restore = [this](Deserializer& in) {
+          NETMAX_RETURN_IF_ERROR(ps_->RestoreState(in));
+          return RestoreRoundState(in);
+        },
+        .round = [this] { RunRound(); },
     });
-    harness_.sim().RunUntilIdle();
-    NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
-    return harness_.Finalize();
   }
 
  private:
-  // Checkpoint reification tags (core/checkpoint.h).
+  // Reified event tags (ExperimentHarness::Emit).
   enum Tag : int64_t {
     kRoundCompute = 0,  // compute event: one worker's gradient, args []
     kRunRound = 1,      // plain event: start the next round, args []
   };
-
-  void Emit(double delay, int worker_key, net::EventPayload payload) {
-    core::ScheduleReified(harness_.sim(), delay, worker_key,
-                          std::move(payload), builder_);
-  }
 
   StatusOr<net::RebuiltEvent> BuildEvent(const net::SavedEvent& event) {
     const std::vector<double>& args = event.payload.args;
@@ -167,7 +157,7 @@ class PsSyncEngine {
     pending_ = static_cast<int>(members_.size());
     for (int w : members_) {
       harness_.SampleBatch(w);
-      Emit(0.0, w, {kRoundCompute, {}});
+      harness_.Emit(0.0, w, {kRoundCompute, {}});
     }
   }
 
@@ -251,8 +241,7 @@ class PsSyncEngine {
       harness_.AccountIteration(w, computes[static_cast<size_t>(k)],
                                 clock - t0);
     }
-    core::ScheduleReifiedAt(harness_.sim(), clock, core::kPlainEvent,
-                            {kRunRound, {}}, builder_);
+    harness_.EmitAt(clock, core::kPlainEvent, {kRunRound, {}});
   }
 
   Status RestoreRoundState(Deserializer& in) {
@@ -274,7 +263,6 @@ class PsSyncEngine {
   // Current round membership and outstanding commit count.
   std::vector<int> members_;
   int pending_ = 0;
-  net::EventRebuilder builder_;
 };
 
 class PsAsyncEngine {
@@ -286,31 +274,27 @@ class PsAsyncEngine {
     NETMAX_RETURN_IF_ERROR(harness_.Init());
     ps_ = std::make_unique<PsState>(harness_, harness_.config(),
                                     /*use_momentum=*/false);
-    builder_ = [this](const net::SavedEvent& event) {
-      return BuildEvent(event);
-    };
     // The PS itself never dies (worker faults only target workers). A worker
     // that dies mid round-trip finishes it — its NIC reservations already
     // happened — and parks at the download's StartIteration.
-    harness_.SetIterationChain([this](int w) { StartIteration(w); });
-    if (harness_.restore_requested()) {
-      NETMAX_RETURN_IF_ERROR(harness_.Restore(
-          [this](Deserializer& in) { return ps_->RestoreState(in); },
-          builder_));
-    } else {
-      for (int w = 0; w < harness_.num_workers(); ++w) StartIteration(w);
-    }
-    harness_.ArmCheckpoint([this](Serializer& out) {
-      ps_->SaveState(out);
-      return Status::Ok();
+    return harness_.Run({
+        .build = [this](const net::SavedEvent& event) {
+          return BuildEvent(event);
+        },
+        .start = [this] {
+          for (int w = 0; w < harness_.num_workers(); ++w) StartIteration(w);
+        },
+        .save = [this](Serializer& out) {
+          ps_->SaveState(out);
+          return Status::Ok();
+        },
+        .restore = [this](Deserializer& in) { return ps_->RestoreState(in); },
+        .chain = [this](int w) { StartIteration(w); },
     });
-    harness_.sim().RunUntilIdle();
-    NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
-    return harness_.Finalize();
   }
 
  private:
-  // Checkpoint reification tags (core/checkpoint.h). An in-flight PS round
+  // Reified event tags (ExperimentHarness::Emit). An in-flight PS round
   // trip checkpoints as its pending upload/download events: the NIC
   // reservations already happened at commit time and live in PsState's
   // nic_free_, and the worker's gradient rides in the worker snapshot, so the
@@ -320,11 +304,6 @@ class PsAsyncEngine {
     kUpload = 1,    // plain event: args [worker, round]
     kDownload = 2,  // plain event: args [worker, t0, compute_seconds, round]
   };
-
-  void Emit(double delay, int worker_key, net::EventPayload payload) {
-    core::ScheduleReified(harness_.sim(), delay, worker_key,
-                          std::move(payload), builder_);
-  }
 
   StatusOr<net::RebuiltEvent> BuildEvent(const net::SavedEvent& event) {
     const std::vector<double>& args = event.payload.args;
@@ -357,17 +336,13 @@ class PsAsyncEngine {
           const double download_done = ps_->ReserveNic(
               upload_done,
               ps_->LinkSeconds(w, upload_done, payload_bytes));
-          core::ScheduleReifiedAt(
-              harness_.sim(), upload_done, core::kPlainEvent,
-              {kUpload,
-               {static_cast<double>(w), static_cast<double>(round)}},
-              builder_);
-          core::ScheduleReifiedAt(
-              harness_.sim(), download_done, core::kPlainEvent,
-              {kDownload,
-               {static_cast<double>(w), t0, compute,
-                static_cast<double>(round)}},
-              builder_);
+          harness_.EmitAt(
+              upload_done, core::kPlainEvent,
+              {kUpload, {static_cast<double>(w), static_cast<double>(round)}});
+          harness_.EmitAt(download_done, core::kPlainEvent,
+                          {kDownload,
+                           {static_cast<double>(w), t0, compute,
+                            static_cast<double>(round)}});
         };
         return rebuilt;
       }
@@ -435,12 +410,11 @@ class PsAsyncEngine {
     // Gradient at the worker's (possibly stale) parameters: pure compute
     // half; the NIC reservation and PS interaction commit in event order.
     harness_.SampleBatch(w);
-    Emit(compute, w, {kCompute, {t0, compute}});
+    harness_.Emit(compute, w, {kCompute, {t0, compute}});
   }
 
   ExperimentHarness harness_;
   std::unique_ptr<PsState> ps_;
-  net::EventRebuilder builder_;
 };
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/checkpoint.h"
 #include "linalg/vector_ops.h"
 #include "net/fault_schedule.h"
 
@@ -30,46 +29,28 @@ class PragueEngine {
     group_size_ = std::min(group_size_, n);
     iteration_start_.assign(static_cast<size_t>(n), 0.0);
     ready_since_.assign(static_cast<size_t>(n), -1.0);
-    builder_ = [this](const net::SavedEvent& event) {
-      return BuildEvent(event);
-    };
-    harness_.SetIterationChain([this](int w) { StartIteration(w); });
-    if (harness_.restore_requested()) {
-      NETMAX_RETURN_IF_ERROR(harness_.Restore(
-          [this](Deserializer& in) { return RestoreEngineState(in); },
-          builder_));
-    } else {
-      for (int w = 0; w < n; ++w) StartIteration(w);
-    }
-    harness_.ArmCheckpoint([this](Serializer& out) {
-      out.WriteIntVec(ready_);
-      out.WriteDoubleVec(iteration_start_);
-      out.WriteInt(active_groups_);
-      out.WriteDoubleVec(ready_since_);
-      return Status::Ok();
+    return harness_.Run({
+        .build = [this](const net::SavedEvent& event) {
+          return BuildEvent(event);
+        },
+        .start = [this, n] {
+          for (int w = 0; w < n; ++w) StartIteration(w);
+        },
+        .save = [this](Serializer& out) {
+          out.WriteIntVec(ready_);
+          out.WriteDoubleVec(iteration_start_);
+          out.WriteInt(active_groups_);
+          out.WriteDoubleVec(ready_since_);
+          return Status::Ok();
+        },
+        .restore = [this](Deserializer& in) { return RestoreEngineState(in); },
+        .chain = [this](int w) { StartIteration(w); },
+        .on_fault = [this](const net::FaultEvent& fault) { OnFault(fault); },
     });
-    // A leaving worker is evicted from the waiting room (a dead member must
-    // not be averaged into a group) and the remaining ready workers are
-    // re-examined — the active-worker count just changed. (A rejoining
-    // worker's parked chain is restarted by the harness.)
-    harness_.set_fault_listener([this](const net::FaultEvent& fault) {
-      if (fault.kind != net::FaultKind::kLeave) return;
-      auto it = std::find(ready_.begin(), ready_.end(), fault.worker);
-      if (it != ready_.end()) {
-        ready_.erase(it);
-        ready_since_[static_cast<size_t>(fault.worker)] = -1.0;
-        harness_.ParkChain(fault.worker);
-        harness_.CountDegradedRound();
-      }
-      MaybeFormGroup(/*flush=*/false);
-    });
-    harness_.sim().RunUntilIdle();
-    NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
-    return harness_.Finalize();
   }
 
  private:
-  // Checkpoint reification tags (core/checkpoint.h). An in-flight group
+  // Reified event tags (ExperimentHarness::Emit). An in-flight group
   // reduce checkpoints as its kGroupFinish event (the member models were
   // already averaged at launch); the waiting room (`ready_`), per-worker
   // iteration starts, and the in-flight group count ride in the engine blob.
@@ -79,9 +60,20 @@ class PragueEngine {
     kReadyTimeout = 2,  // plain event: args [worker, ready_since]
   };
 
-  void Emit(double delay, int worker_key, net::EventPayload payload) {
-    core::ScheduleReified(harness_.sim(), delay, worker_key,
-                          std::move(payload), builder_);
+  // A leaving worker is evicted from the waiting room (a dead member must
+  // not be averaged into a group) and the remaining ready workers are
+  // re-examined — the active-worker count just changed. (A rejoining
+  // worker's parked chain is restarted by the harness.)
+  void OnFault(const net::FaultEvent& fault) {
+    if (fault.kind != net::FaultKind::kLeave) return;
+    auto it = std::find(ready_.begin(), ready_.end(), fault.worker);
+    if (it != ready_.end()) {
+      ready_.erase(it);
+      ready_since_[static_cast<size_t>(fault.worker)] = -1.0;
+      harness_.ParkChain(fault.worker);
+      harness_.CountDegradedRound();
+    }
+    MaybeFormGroup(/*flush=*/false);
   }
 
   StatusOr<net::RebuiltEvent> BuildEvent(const net::SavedEvent& event) {
@@ -168,7 +160,7 @@ class PragueEngine {
     iteration_start_[static_cast<size_t>(w)] = harness_.sim().Now();
     const double compute = harness_.EffectiveComputeSeconds(w);
     harness_.SampleBatch(w);
-    Emit(compute, w, {kCompute, {}});
+    harness_.Emit(compute, w, {kCompute, {}});
   }
 
   // The worker's local step committed: it waits for a group. Under
@@ -180,9 +172,10 @@ class PragueEngine {
     ready_since_[static_cast<size_t>(w)] = harness_.sim().Now();
     if (harness_.config().peer_policy ==
         core::PeerPolicy::kTimeoutAndContinue) {
-      Emit(harness_.config().peer_timeout_seconds, core::kPlainEvent,
-           {kReadyTimeout,
-            {static_cast<double>(w), ready_since_[static_cast<size_t>(w)]}});
+      harness_.Emit(
+          harness_.config().peer_timeout_seconds, core::kPlainEvent,
+          {kReadyTimeout,
+           {static_cast<double>(w), ready_since_[static_cast<size_t>(w)]}});
     }
     MaybeFormGroup(/*flush=*/false);
   }
@@ -280,8 +273,8 @@ class PragueEngine {
     finish_args.reserve(1 + group.size());
     finish_args.push_back(reduce_seconds);
     for (int w : group) finish_args.push_back(static_cast<double>(w));
-    Emit(reduce_seconds, core::kPlainEvent,
-         {kGroupFinish, std::move(finish_args)});
+    harness_.Emit(reduce_seconds, core::kPlainEvent,
+                  {kGroupFinish, std::move(finish_args)});
   }
 
   void FinishGroupMember(int w, double /*reduce_seconds*/) {
@@ -299,7 +292,6 @@ class PragueEngine {
   // Waiting-room entry time per worker (-1 while not waiting): the episode
   // identity for kReadyTimeout deadlines.
   std::vector<double> ready_since_;
-  net::EventRebuilder builder_;
 };
 
 }  // namespace

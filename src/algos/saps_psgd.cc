@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/checkpoint.h"
 
 namespace netmax::algos {
 
@@ -96,36 +95,27 @@ class SapsEngine {
     }
     subgraph_ = std::make_unique<net::Topology>(BuildFastLinkSubgraph(cost));
     NETMAX_CHECK(subgraph_->IsConnected());
-    builder_ = [this](const net::SavedEvent& event) {
-      return BuildEvent(event);
-    };
-    harness_.SetIterationChain(
-        [this](int w) { StartIteration(w); },
-        [this](int w, int m, double waited) { IssuePull(w, m, waited); });
-    if (harness_.restore_requested()) {
-      // The subgraph above is rebuilt deterministically from the t = 0 link
-      // costs, so the engine has no state of its own to restore.
-      NETMAX_RETURN_IF_ERROR(harness_.Restore(
-          [](Deserializer&) { return Status::Ok(); }, builder_));
-    } else {
-      for (int w = 0; w < n; ++w) StartIteration(w);
-    }
-    harness_.ArmCheckpoint([](Serializer&) { return Status::Ok(); });
-    harness_.sim().RunUntilIdle();
-    NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
-    return harness_.Finalize();
+    // The subgraph is rebuilt deterministically from the t = 0 link costs,
+    // so the engine has no checkpoint state of its own.
+    return harness_.Run({
+        .build = [this](const net::SavedEvent& event) {
+          return BuildEvent(event);
+        },
+        .start = [this, n] {
+          for (int w = 0; w < n; ++w) StartIteration(w);
+        },
+        .chain = [this](int w) { StartIteration(w); },
+        .pull = [this](int w, int m, double waited) {
+          IssuePull(w, m, waited);
+        },
+    });
   }
 
  private:
-  // Checkpoint reification tags (core/checkpoint.h).
+  // Reified event tags (ExperimentHarness::Emit).
   enum Tag : int64_t {
     kIterate = 0,  // compute event: args [peer, compute_secs, wall_secs, round]
   };
-
-  void Emit(double delay, int worker_key, net::EventPayload payload) {
-    core::ScheduleReified(harness_.sim(), delay, worker_key,
-                          std::move(payload), builder_);
-  }
 
   StatusOr<net::RebuiltEvent> BuildEvent(const net::SavedEvent& event) {
     const std::vector<double>& args = event.payload.args;
@@ -196,15 +186,14 @@ class SapsEngine {
     const double transfer = harness_.SendSeconds(m, w, round);
     harness_.SampleBatch(w);
     const double wall = std::max(compute, transfer);
-    Emit(wall, w,
-         {kIterate,
-          {static_cast<double>(m), compute, waited + wall,
-           static_cast<double>(round)}});
+    harness_.Emit(wall, w,
+                  {kIterate,
+                   {static_cast<double>(m), compute, waited + wall,
+                    static_cast<double>(round)}});
   }
 
   ExperimentHarness harness_;
   std::unique_ptr<net::Topology> subgraph_;
-  net::EventRebuilder builder_;
 };
 
 }  // namespace

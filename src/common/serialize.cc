@@ -76,7 +76,7 @@ StatusOr<double> Deserializer::ReadDouble() {
 
 StatusOr<std::string> Deserializer::ReadString() {
   NETMAX_ASSIGN_OR_RETURN(const uint64_t size, ReadU64());
-  if (size > remaining()) return OutOfRangeError("truncated string");
+  NETMAX_RETURN_IF_ERROR(CheckCount(size, 1, "string"));
   std::string value(bytes_.begin() + static_cast<ptrdiff_t>(cursor_),
                     bytes_.begin() + static_cast<ptrdiff_t>(cursor_ + size));
   cursor_ += size;
@@ -85,8 +85,7 @@ StatusOr<std::string> Deserializer::ReadString() {
 
 Status Deserializer::ReadDoubleVec(std::vector<double>* values) {
   NETMAX_ASSIGN_OR_RETURN(const uint64_t size, ReadU64());
-  // Division form: `size * 8` wraps for size >= 2^61 and would pass.
-  if (size > remaining() / 8) return OutOfRangeError("truncated double vec");
+  NETMAX_RETURN_IF_ERROR(CheckCount(size, 8, "double vec"));
   values->clear();
   values->reserve(size);
   for (uint64_t i = 0; i < size; ++i) {
@@ -98,7 +97,7 @@ Status Deserializer::ReadDoubleVec(std::vector<double>* values) {
 
 Status Deserializer::ReadIntVec(std::vector<int>* values) {
   NETMAX_ASSIGN_OR_RETURN(const uint64_t size, ReadU64());
-  if (size > remaining() / 8) return OutOfRangeError("truncated int vec");
+  NETMAX_RETURN_IF_ERROR(CheckCount(size, 8, "int vec"));
   values->clear();
   values->reserve(size);
   for (uint64_t i = 0; i < size; ++i) {
@@ -115,6 +114,14 @@ Status Deserializer::ReadDoubleSpan(std::span<double> values) {
   }
   for (double& v : values) {
     NETMAX_ASSIGN_OR_RETURN(v, ReadDouble());
+  }
+  return Status::Ok();
+}
+
+Status Deserializer::CheckCount(uint64_t count, size_t element_bytes,
+                                std::string_view what) const {
+  if (count > remaining() / element_bytes) {
+    return OutOfRangeError("truncated " + std::string(what));
   }
   return Status::Ok();
 }

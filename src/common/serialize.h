@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -62,6 +63,13 @@ class Deserializer {
   // Fills an existing buffer; kOutOfRange if the stored length differs from
   // values.size() (checkpoints never change the shape of what they restore).
   Status ReadDoubleSpan(std::span<double> values);
+
+  // kOutOfRange ("truncated <what>") unless `count` elements of
+  // `element_bytes` each fit in the unread input. Every reader that sizes an
+  // allocation from a stored count calls this first. Division form, so a
+  // huge count cannot wrap `count * element_bytes` past the check.
+  Status CheckCount(uint64_t count, size_t element_bytes,
+                    std::string_view what) const;
 
   size_t remaining() const { return bytes_.size() - cursor_; }
   bool AtEnd() const { return cursor_ == bytes_.size(); }

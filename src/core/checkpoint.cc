@@ -1,5 +1,6 @@
 #include "core/checkpoint.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <fstream>
@@ -53,53 +54,36 @@ void SaveMatrix(Serializer& out, const linalg::Matrix& matrix) {
   out.WriteDoubleVec(matrix.data());
 }
 
-StatusOr<linalg::Matrix> LoadMatrix(Deserializer& in) {
-  NETMAX_ASSIGN_OR_RETURN(const int rows, in.ReadInt());
-  NETMAX_ASSIGN_OR_RETURN(const int cols, in.ReadInt());
-  if (rows < 0 || cols < 0) {
-    return InvalidArgumentError("checkpointed matrix has negative shape");
+StatusOr<linalg::Matrix> LoadMatrix(Deserializer& in, int rows, int cols) {
+  NETMAX_ASSIGN_OR_RETURN(const int stored_rows, in.ReadInt());
+  NETMAX_ASSIGN_OR_RETURN(const int stored_cols, in.ReadInt());
+  if (stored_rows != rows || stored_cols != cols) {
+    return InvalidArgumentError(
+        "checkpointed matrix shape " + std::to_string(stored_rows) + "x" +
+        std::to_string(stored_cols) + " does not match the expected " +
+        std::to_string(rows) + "x" + std::to_string(cols));
   }
+  NETMAX_RETURN_IF_ERROR(in.CheckCount(
+      static_cast<uint64_t>(rows) * static_cast<uint64_t>(cols),
+      sizeof(double), "checkpointed matrix"));
   linalg::Matrix matrix(rows, cols);
   NETMAX_RETURN_IF_ERROR(in.ReadDoubleSpan(matrix.mutable_data()));
   return matrix;
 }
 
-void SaveEmaGrid(
-    Serializer& out,
-    const std::vector<std::vector<ExponentialMovingAverage>>& grid) {
-  out.WriteU64(grid.size());
-  for (const auto& row : grid) {
-    out.WriteU64(row.size());
-    for (const ExponentialMovingAverage& ema : row) {
-      out.WriteDouble(ema.value());
-      out.WriteI64(ema.count());
+StatusOr<CommunicationPolicy> LoadPolicy(Deserializer& in,
+                                         const net::Topology& topology) {
+  const int n = topology.num_nodes();
+  NETMAX_ASSIGN_OR_RETURN(linalg::Matrix matrix, LoadMatrix(in, n, n));
+  for (const double p : matrix.data()) {
+    if (!(p >= 0.0)) {
+      return InvalidArgumentError(
+          "checkpointed policy has a negative or NaN probability");
     }
   }
-}
-
-Status RestoreEmaGrid(
-    Deserializer& in,
-    std::vector<std::vector<ExponentialMovingAverage>>* grid) {
-  NETMAX_ASSIGN_OR_RETURN(const uint64_t rows, in.ReadU64());
-  if (rows != grid->size()) {
-    return InvalidArgumentError("checkpointed EMA grid row count mismatch");
-  }
-  for (auto& row : *grid) {
-    NETMAX_ASSIGN_OR_RETURN(const uint64_t cols, in.ReadU64());
-    if (cols != row.size()) {
-      return InvalidArgumentError("checkpointed EMA grid column count "
-                                  "mismatch");
-    }
-    for (ExponentialMovingAverage& ema : row) {
-      NETMAX_ASSIGN_OR_RETURN(const double value, in.ReadDouble());
-      NETMAX_ASSIGN_OR_RETURN(const int64_t count, in.ReadI64());
-      if (count < 0) {
-        return InvalidArgumentError("checkpointed EMA count is negative");
-      }
-      ema.RestoreState(value, count);
-    }
-  }
-  return Status::Ok();
+  CommunicationPolicy policy(std::move(matrix));
+  NETMAX_RETURN_IF_ERROR(policy.Validate(topology));
+  return policy;
 }
 
 namespace {
@@ -114,9 +98,7 @@ void SaveSeries(Serializer& out, const ml::Series& series) {
 
 Status LoadSeries(Deserializer& in, ml::Series* series) {
   NETMAX_ASSIGN_OR_RETURN(const uint64_t size, in.ReadU64());
-  if (size > in.remaining() / 16) {  // overflow-safe: size * 16 may wrap
-    return OutOfRangeError("checkpointed series is truncated");
-  }
+  NETMAX_RETURN_IF_ERROR(in.CheckCount(size, 16, "checkpointed series"));
   series->clear();
   series->reserve(size);
   for (uint64_t i = 0; i < size; ++i) {
@@ -130,15 +112,13 @@ Status LoadSeries(Deserializer& in, ml::Series* series) {
 
 }  // namespace
 
-void ExperimentHarness::ArmCheckpoint(EngineStateSaver save_engine) {
-  NETMAX_CHECK(initialized_) << "ArmCheckpoint before Init";
-  checkpoint_saver_ = std::move(save_engine);
+void ExperimentHarness::ArmCheckpoint() {
   const double at = config_.checkpoint_at_seconds;
   if (at > 0.0 && at > sim_.Now()) {
     net::EventPayload payload;
     payload.tag = kHarnessCheckpointTag;
     payload.args = {at};
-    ScheduleHarnessEvent(at, std::move(payload));
+    EmitAt(at, kPlainEvent, std::move(payload));
   }
   // Periodic cadence: arm the next tick — unless this is a restored run
   // whose queue already carries one (a one-shot checkpoint saved while a
@@ -151,7 +131,7 @@ void ExperimentHarness::ArmCheckpoint(EngineStateSaver save_engine) {
     net::EventPayload payload;
     payload.tag = kHarnessCadenceTag;
     payload.args = {static_cast<double>(cadence_next_index_)};
-    ScheduleHarnessEvent(sim_.Now() + every, std::move(payload));
+    EmitAt(sim_.Now() + every, kPlainEvent, std::move(payload));
   }
 }
 
@@ -167,7 +147,7 @@ void ExperimentHarness::OneShotCheckpoint(double at) {
         " is past the end of the run");
     return;
   }
-  checkpoint_status_ = SaveCheckpoint(checkpoint_saver_);
+  checkpoint_status_ = SaveCheckpoint();
 }
 
 void ExperimentHarness::CadenceTick(int64_t tick_index) {
@@ -187,8 +167,8 @@ void ExperimentHarness::CadenceTick(int64_t tick_index) {
   net::EventPayload payload;
   payload.tag = kHarnessCadenceTag;
   payload.args = {static_cast<double>(cadence_next_index_)};
-  ScheduleHarnessEvent(sim_.Now() + config_.checkpoint_every_seconds,
-                       std::move(payload));
+  EmitAt(sim_.Now() + config_.checkpoint_every_seconds, kPlainEvent,
+         std::move(payload));
 }
 
 StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
@@ -243,7 +223,7 @@ StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
     case kHarnessPeerTimeoutTag: {
       const bool wait = saved.payload.tag == kHarnessPeerWaitTag;
       if (saved.worker_key >= 0 || args.size() != (wait ? 3u : 2u) ||
-          pull_issuer_ == nullptr) {
+          hooks_.pull == nullptr) {
         return InvalidArgumentError("malformed harness peer-wait event");
       }
       const int w = static_cast<int>(args[0]);
@@ -263,7 +243,7 @@ StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
     case kHarnessLocalStepTag: {
       const int w = saved.worker_key;
       if (w < 0 || w >= config_.num_workers || args.size() != 2 ||
-          chain_start_ == nullptr) {
+          hooks_.chain == nullptr) {
         return InvalidArgumentError("malformed harness local-step event");
       }
       const double compute = args[0];
@@ -275,10 +255,10 @@ StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
       return rebuilt;
     }
     case kHarnessRoundRetryTag: {
-      if (saved.worker_key >= 0 || !args.empty() || round_runner_ == nullptr) {
+      if (saved.worker_key >= 0 || !args.empty() || hooks_.round == nullptr) {
         return InvalidArgumentError("malformed harness round-retry event");
       }
-      rebuilt.plain = [this] { round_runner_(); };
+      rebuilt.plain = [this] { hooks_.round(); };
       return rebuilt;
     }
     default:
@@ -287,19 +267,35 @@ StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
   }
 }
 
-void ExperimentHarness::ScheduleHarnessEvent(double time,
-                                             net::EventPayload payload,
-                                             int worker_key) {
-  ScheduleReifiedAt(sim_, time, worker_key, std::move(payload),
-                    [this](const net::SavedEvent& saved) {
-                      return BuildHarnessEvent(saved);
-                    });
+StatusOr<net::RebuiltEvent> ExperimentHarness::BuildEvent(
+    const net::SavedEvent& saved) {
+  if (saved.payload.tag >= kHarnessFaultTag) return BuildHarnessEvent(saved);
+  if (hooks_.build == nullptr) {
+    return InvalidArgumentError("engine event tag " +
+                                std::to_string(saved.payload.tag) +
+                                " without an engine event builder");
+  }
+  return hooks_.build(saved);
 }
 
-StatusOr<std::vector<uint8_t>> ExperimentHarness::SerializeCheckpoint(
-    const EngineStateSaver& save_engine) {
-  NETMAX_CHECK(save_engine != nullptr)
-      << "checkpoint armed without an engine saver";
+void ExperimentHarness::EmitAt(double time, int worker_key,
+                               net::EventPayload payload) {
+  net::SavedEvent saved;
+  saved.time = time;
+  saved.worker_key = worker_key;
+  saved.payload = std::move(payload);
+  StatusOr<net::RebuiltEvent> rebuilt = BuildEvent(saved);
+  NETMAX_CHECK_OK(rebuilt.status());
+  if (worker_key < 0) {
+    sim_.ScheduleAt(time, std::move(saved.payload), std::move(rebuilt->plain));
+  } else {
+    sim_.ScheduleCompute(time, worker_key, std::move(saved.payload),
+                         std::move(rebuilt->compute),
+                         std::move(rebuilt->commit));
+  }
+}
+
+StatusOr<std::vector<uint8_t>> ExperimentHarness::SerializeCheckpoint() {
   // Quiesce: invalidate every speculated compute evaluation so all state
   // below is at its committed value. The backend re-dispatches the
   // invalidated evaluations after this handler returns; compute halves are
@@ -358,7 +354,9 @@ StatusOr<std::vector<uint8_t>> ExperimentHarness::SerializeCheckpoint(
   SaveSeries(out, loss_vs_epoch_);
   SaveSeries(out, accuracy_vs_time_);
   out.WriteI64(total_epochs_completed_);
-  out.WriteI64(policies_generated_);
+  // Reserved word, always 0: the monitor's policy count lives in its own
+  // section of the engine blob (NetworkMonitor::Save).
+  out.WriteI64(0);
 
   // Fault-injection state (version 2): the liveness view, active slowdown
   // factors, the degradation counters, and the cadence tick index.
@@ -379,14 +377,14 @@ StatusOr<std::vector<uint8_t>> ExperimentHarness::SerializeCheckpoint(
   for (const uint8_t parked : parked_) out.WriteBool(parked != 0);
   out.WriteBool(round_blocked_);
 
-  NETMAX_RETURN_IF_ERROR(save_engine(out));
+  if (hooks_.save != nullptr) NETMAX_RETURN_IF_ERROR(hooks_.save(out));
   out.WriteU32(kCheckpointEndMarker);
   return out.bytes();
 }
 
-Status ExperimentHarness::SaveCheckpoint(const EngineStateSaver& save_engine) {
+Status ExperimentHarness::SaveCheckpoint() {
   NETMAX_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
-                          SerializeCheckpoint(save_engine));
+                          SerializeCheckpoint());
   if (config_.checkpoint_sink != nullptr) {
     *config_.checkpoint_sink = bytes;
   }
@@ -399,7 +397,7 @@ Status ExperimentHarness::SaveCheckpoint(const EngineStateSaver& save_engine) {
 
 Status ExperimentHarness::SavePeriodicCheckpoint(int64_t tick_index) {
   NETMAX_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
-                          SerializeCheckpoint(checkpoint_saver_));
+                          SerializeCheckpoint());
   // The sink always holds the newest periodic snapshot (in-memory restores,
   // tests); the path gets the newest bytes at `<path>` — what --restore-path
   // naturally points at after a crash — plus a rotating `<path>.t<k>`
@@ -423,9 +421,7 @@ Status ExperimentHarness::SavePeriodicCheckpoint(int64_t tick_index) {
   return Status::Ok();
 }
 
-Status ExperimentHarness::Restore(const EngineStateRestorer& restore_engine,
-                                  const net::EventRebuilder& rebuilder) {
-  NETMAX_CHECK(initialized_) << "Restore before Init";
+Status ExperimentHarness::Restore() {
   NETMAX_CHECK(sim_.empty()) << "Restore after events were scheduled";
   std::vector<uint8_t> file_bytes;
   std::span<const uint8_t> bytes;
@@ -496,9 +492,10 @@ Status ExperimentHarness::Restore(const EngineStateRestorer& restore_engine,
   NETMAX_ASSIGN_OR_RETURN(const int64_t next_sequence, in.ReadI64());
   NETMAX_ASSIGN_OR_RETURN(const int64_t processed, in.ReadI64());
   NETMAX_ASSIGN_OR_RETURN(const uint64_t event_count, in.ReadU64());
-  if (event_count > in.remaining()) {  // every event takes > 1 byte
-    return OutOfRangeError("checkpointed event queue is truncated");
-  }
+  // Each event is at least five 8-byte words (time, sequence, worker key,
+  // tag, argument count).
+  NETMAX_RETURN_IF_ERROR(
+      in.CheckCount(event_count, 40, "checkpointed event queue"));
   std::vector<net::SavedEvent> events;
   events.reserve(event_count);
   for (uint64_t i = 0; i < event_count; ++i) {
@@ -511,23 +508,17 @@ Status ExperimentHarness::Restore(const EngineStateRestorer& restore_engine,
     events.push_back(std::move(event));
   }
   sim_.RestoreClock(now, next_sequence, processed);
-  // Harness-tagged events (pending faults, cadence ticks, the one-shot
-  // checkpoint event, dead-peer waits) are rebuilt by the harness itself;
-  // everything else is the engine's. Restoring a pending cadence tick also
-  // tells ArmCheckpoint not to arm a duplicate.
-  cadence_tick_restored_ = false;
-  const net::EventRebuilder wrapped_rebuilder =
-      [this, &rebuilder](
-          const net::SavedEvent& saved) -> StatusOr<net::RebuiltEvent> {
-    if (saved.payload.tag >= kHarnessFaultTag) {
-      if (saved.payload.tag == kHarnessCadenceTag) {
-        cadence_tick_restored_ = true;
-      }
-      return BuildHarnessEvent(saved);
-    }
-    return rebuilder(saved);
-  };
-  NETMAX_RETURN_IF_ERROR(sim_.RestoreQueue(events, wrapped_rebuilder));
+  // Every event is rebuilt through BuildEvent, the mapping Emit schedules
+  // with. A restored pending cadence tick tells ArmCheckpoint not to arm a
+  // duplicate.
+  cadence_tick_restored_ =
+      std::any_of(events.begin(), events.end(), [](const net::SavedEvent& e) {
+        return e.payload.tag == kHarnessCadenceTag;
+      });
+  NETMAX_RETURN_IF_ERROR(sim_.RestoreQueue(
+      events, [this](const net::SavedEvent& saved) {
+        return BuildEvent(saved);
+      }));
 
   for (auto& worker : workers_) {
     NETMAX_RETURN_IF_ERROR(RestoreWorker(in, worker));
@@ -537,7 +528,7 @@ Status ExperimentHarness::Restore(const EngineStateRestorer& restore_engine,
   NETMAX_RETURN_IF_ERROR(LoadSeries(in, &loss_vs_epoch_));
   NETMAX_RETURN_IF_ERROR(LoadSeries(in, &accuracy_vs_time_));
   NETMAX_ASSIGN_OR_RETURN(total_epochs_completed_, in.ReadI64());
-  NETMAX_ASSIGN_OR_RETURN(policies_generated_, in.ReadI64());
+  NETMAX_RETURN_IF_ERROR(in.ReadI64().status());  // reserved word
 
   for (int w = 0; w < config_.num_workers; ++w) {
     NETMAX_ASSIGN_OR_RETURN(const bool alive, in.ReadBool());
@@ -558,7 +549,7 @@ Status ExperimentHarness::Restore(const EngineStateRestorer& restore_engine,
   }
   NETMAX_ASSIGN_OR_RETURN(round_blocked_, in.ReadBool());
 
-  NETMAX_RETURN_IF_ERROR(restore_engine(in));
+  if (hooks_.restore != nullptr) NETMAX_RETURN_IF_ERROR(hooks_.restore(in));
   NETMAX_ASSIGN_OR_RETURN(const uint32_t end_marker, in.ReadU32());
   if (end_marker != kCheckpointEndMarker) {
     return InvalidArgumentError("checkpoint end marker mismatch");

@@ -25,27 +25,30 @@
 //    relative ordering, which is why checkpointed and checkpoint-free runs
 //    also match each other bit for bit.
 //
-// The harness-side entry points (ArmCheckpoint / Restore / restore_requested)
-// are declared on ExperimentHarness in core/experiment.h and implemented in
-// core/checkpoint.cc; this header has the wire-format constants, the file
-// helpers, and the scheduling/serialization helpers engines use.
+// The engine side of all this is one call: ExperimentHarness::Run (declared
+// in core/experiment.h, checkpoint parts implemented in core/checkpoint.cc)
+// takes the engine's hooks — its event builder, fresh-run start, and blob
+// save/restore — and runs the lifecycle register -> restore or start -> arm
+// -> run -> check -> finalize. Engines schedule every event through
+// ExperimentHarness::Emit/EmitAt, which build the closures with the same
+// builder the restore path uses. The engine blob holds only the engine's own
+// state; NetMax and AD-PSGD+Monitor end theirs with the Algorithm-1 monitor's
+// section (NetworkMonitor::Save). Restores treat the bytes as untrusted: every
+// stored count is bounded by the remaining input before anything is
+// allocated (Deserializer::CheckCount). This header has the wire-format
+// constants, the file helpers, and the matrix/policy round trip.
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/serialize.h"
-#include "common/stats.h"
 #include "common/status.h"
+#include "core/policy.h"
 #include "linalg/matrix.h"
-#include "net/event_sim.h"
+#include "net/topology.h"
 
 namespace netmax::core {
-
-// worker_key value marking a plain (callback) event in reified scheduling.
-inline constexpr int kPlainEvent = -1;
 
 // "NMCP" / "NMCE": header magic and end marker of the checkpoint format.
 inline constexpr uint32_t kCheckpointMagic = 0x4E4D4350;
@@ -66,63 +69,17 @@ Status WriteCheckpointFile(const std::string& path,
                            const std::vector<uint8_t>& bytes);
 StatusOr<std::vector<uint8_t>> ReadCheckpointFile(const std::string& path);
 
-// Matrix round trip (policy matrices, EMA grids).
+// Matrix round trip. LoadMatrix refuses (kInvalidArgument) any stored shape
+// other than the expected `rows` x `cols` before it allocates, and checks the
+// data fits the remaining input.
 void SaveMatrix(Serializer& out, const linalg::Matrix& matrix);
-StatusOr<linalg::Matrix> LoadMatrix(Deserializer& in);
+StatusOr<linalg::Matrix> LoadMatrix(Deserializer& in, int rows, int cols);
 
-// Per-link iteration-time EMA grid round trip (the monitor's
-// UPDATETIMEVECTOR state in the NetMax and AD-PSGD+Monitor engines). Restore
-// requires `grid` to be pre-sized to the saved shape — the engine builds it
-// from the config before restoring — and keeps each cell's beta.
-void SaveEmaGrid(Serializer& out,
-                 const std::vector<std::vector<ExponentialMovingAverage>>& grid);
-Status RestoreEmaGrid(Deserializer& in,
-                      std::vector<std::vector<ExponentialMovingAverage>>* grid);
-
-// Schedules the event described by (worker_key, payload) `delay` seconds
-// from now by running the description through `builder` — the same mapping
-// Restore uses — so each engine defines every event closure exactly once and
-// live scheduling cannot drift from the restore path. `builder` rejecting an
-// engine's own payload is a programmer error and aborts.
-inline void ScheduleReified(net::EventSimulator& sim, double delay,
-                            int worker_key, net::EventPayload payload,
-                            const net::EventRebuilder& builder) {
-  net::SavedEvent saved;
-  saved.time = sim.Now() + delay;
-  saved.worker_key = worker_key;
-  saved.payload = payload;
-  StatusOr<net::RebuiltEvent> rebuilt = builder(saved);
-  NETMAX_CHECK_OK(rebuilt.status());
-  if (worker_key < 0) {
-    sim.ScheduleAfter(delay, std::move(payload), std::move(rebuilt->plain));
-  } else {
-    sim.ScheduleComputeAfter(delay, worker_key, std::move(payload),
-                             std::move(rebuilt->compute),
-                             std::move(rebuilt->commit));
-  }
-}
-
-// Absolute-time variant: schedules at virtual time `time` (>= Now()). Engines
-// that place events at computed absolute times (NIC reservations, round
-// clocks) use this so the event time stays bit-exact instead of round-tripping
-// through a Now()-relative delay.
-inline void ScheduleReifiedAt(net::EventSimulator& sim, double time,
-                              int worker_key, net::EventPayload payload,
-                              const net::EventRebuilder& builder) {
-  net::SavedEvent saved;
-  saved.time = time;
-  saved.worker_key = worker_key;
-  saved.payload = payload;
-  StatusOr<net::RebuiltEvent> rebuilt = builder(saved);
-  NETMAX_CHECK_OK(rebuilt.status());
-  if (worker_key < 0) {
-    sim.ScheduleAt(time, std::move(payload), std::move(rebuilt->plain));
-  } else {
-    sim.ScheduleCompute(time, worker_key, std::move(payload),
-                        std::move(rebuilt->compute),
-                        std::move(rebuilt->commit));
-  }
-}
+// A communication policy saved with SaveMatrix, restored over `topology`: the
+// matrix must be n x n, every entry a non-negative number (the peer sampler
+// aborts on anything else), and the policy must pass Validate(topology).
+StatusOr<CommunicationPolicy> LoadPolicy(Deserializer& in,
+                                         const net::Topology& topology);
 
 }  // namespace netmax::core
 

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "core/execution_backend.h"
+#include "core/monitor.h"
 #include "linalg/vector_ops.h"
 #include "ml/mlp.h"
 #include "ml/sharding.h"
@@ -330,7 +331,7 @@ void ExperimentHarness::ScheduleFaults() {
     payload.args = {static_cast<double>(static_cast<int>(fault.kind)),
                     static_cast<double>(fault.worker), fault.factor,
                     fault.duration};
-    ScheduleHarnessEvent(fault.time, std::move(payload));
+    EmitAt(fault.time, kPlainEvent, std::move(payload));
   }
 }
 
@@ -354,23 +355,23 @@ void ExperimentHarness::ApplyFault(const net::FaultEvent& fault) {
       net::EventPayload payload;
       payload.tag = kHarnessSlowdownEndTag;
       payload.args = {static_cast<double>(fault.worker), fault.factor};
-      ScheduleHarnessEvent(sim_.Now() + fault.duration, std::move(payload));
+      EmitAt(sim_.Now() + fault.duration, kPlainEvent, std::move(payload));
       break;
     }
   }
   // A rejoining worker whose chain parked (it was dead when its last commit
   // tried to start the next iteration) restarts here; a worker that rejoins
   // while its pre-leave event is still in flight keeps that chain.
-  if (fault.kind == net::FaultKind::kJoin && chain_start_ != nullptr &&
+  if (fault.kind == net::FaultKind::kJoin && hooks_.chain != nullptr &&
       parked_[static_cast<size_t>(fault.worker)] != 0) {
-    chain_start_(fault.worker);
+    hooks_.chain(fault.worker);
   }
-  if (fault_listener_) fault_listener_(fault);
+  if (hooks_.on_fault) hooks_.on_fault(fault);
 }
 
 void ExperimentHarness::PullFrom(int w, int m) {
   if (WorkerAlive(m)) {
-    pull_issuer_(w, m, 0.0);
+    hooks_.pull(w, m, 0.0);
     return;
   }
   // The batch is sampled only when (and if) w's step actually goes out.
@@ -379,14 +380,14 @@ void ExperimentHarness::PullFrom(int w, int m) {
   if (config_.peer_policy == PeerPolicy::kTimeoutAndContinue) {
     payload.tag = kHarnessPeerTimeoutTag;
     payload.args = {static_cast<double>(w), static_cast<double>(m)};
-    ScheduleHarnessEvent(sim_.Now() + config_.peer_timeout_seconds,
-                         std::move(payload));
+    EmitAt(sim_.Now() + config_.peer_timeout_seconds, kPlainEvent,
+           std::move(payload));
   } else {
     payload.tag = kHarnessPeerWaitTag;
     payload.args = {static_cast<double>(w), static_cast<double>(m),
                     config_.peer_poll_seconds};
-    ScheduleHarnessEvent(sim_.Now() + config_.peer_poll_seconds,
-                         std::move(payload));
+    EmitAt(sim_.Now() + config_.peer_poll_seconds, kPlainEvent,
+           std::move(payload));
   }
 }
 
@@ -398,15 +399,15 @@ void ExperimentHarness::PeerWaitTick(int w, int m, double waited) {
   if (WorkerAlive(m)) {
     // The held pull goes out: its wall time accounts the wait on top of the
     // usual compute/transfer leg.
-    pull_issuer_(w, m, waited);
+    hooks_.pull(w, m, waited);
     return;
   }
   net::EventPayload payload;
   payload.tag = kHarnessPeerWaitTag;
   payload.args = {static_cast<double>(w), static_cast<double>(m),
                   waited + config_.peer_poll_seconds};
-  ScheduleHarnessEvent(sim_.Now() + config_.peer_poll_seconds,
-                       std::move(payload));
+  EmitAt(sim_.Now() + config_.peer_poll_seconds, kPlainEvent,
+         std::move(payload));
 }
 
 void ExperimentHarness::PeerTimeoutExpired(int w, int m) {
@@ -415,7 +416,7 @@ void ExperimentHarness::PeerTimeoutExpired(int w, int m) {
     return;
   }
   if (WorkerAlive(m)) {
-    pull_issuer_(w, m, config_.peer_timeout_seconds);
+    hooks_.pull(w, m, config_.peer_timeout_seconds);
     return;
   }
   ++peers_timed_out_;
@@ -424,7 +425,7 @@ void ExperimentHarness::PeerTimeoutExpired(int w, int m) {
   net::EventPayload payload;
   payload.tag = kHarnessLocalStepTag;
   payload.args = {compute, config_.peer_timeout_seconds + compute};
-  ScheduleHarnessEvent(sim_.Now() + compute, std::move(payload), w);
+  EmitAt(sim_.Now() + compute, w, std::move(payload));
 }
 
 void ExperimentHarness::LocalStepDone(int w, double compute_seconds,
@@ -432,7 +433,7 @@ void ExperimentHarness::LocalStepDone(int w, double compute_seconds,
   CommitBatchStats(w, loss);
   ApplyStoredGradient(w);
   AccountIteration(w, compute_seconds, wall_seconds);
-  chain_start_(w);
+  hooks_.chain(w);
 }
 
 bool ExperimentHarness::PullLost(int w, int m, double compute_seconds,
@@ -441,7 +442,7 @@ bool ExperimentHarness::PullLost(int w, int m, double compute_seconds,
   ++rounds_degraded_;
   ApplyStoredGradient(w);
   AccountIteration(w, compute_seconds, wall_seconds);
-  chain_start_(w);
+  hooks_.chain(w);
   return true;
 }
 
@@ -455,8 +456,8 @@ bool ExperimentHarness::SelectRoundMembers(std::vector<int>* members) {
           round_blocked_ = true;
           ++rounds_degraded_;
         }
-        ScheduleHarnessEvent(sim_.Now() + config_.peer_poll_seconds,
-                             {kHarnessRoundRetryTag, {}});
+        EmitAt(sim_.Now() + config_.peer_poll_seconds, kPlainEvent,
+               {kHarnessRoundRetryTag, {}});
         return false;
       }
     }
@@ -490,8 +491,8 @@ bool ExperimentHarness::SelectRoundMembers(std::vector<int>* members) {
   }
   if (members->empty()) {
     // Everyone is dead: re-probe until a join revives the round.
-    ScheduleHarnessEvent(sim_.Now() + config_.peer_poll_seconds,
-                         {kHarnessRoundRetryTag, {}});
+    EmitAt(sim_.Now() + config_.peer_poll_seconds, kPlainEvent,
+           {kHarnessRoundRetryTag, {}});
     return false;
   }
   if (degraded) ++rounds_degraded_;
@@ -665,6 +666,26 @@ bool ExperimentHarness::AllDone() const {
   return true;
 }
 
+StatusOr<RunResult> ExperimentHarness::Run(EngineHooks hooks) {
+  NETMAX_CHECK(initialized_) << "Run before Init";
+  hooks_ = std::move(hooks);
+  if (restore_requested()) {
+    NETMAX_RETURN_IF_ERROR(Restore());
+  } else if (hooks_.start != nullptr) {
+    hooks_.start();
+  }
+  ArmCheckpoint();
+  sim_.RunUntilIdle();
+  NETMAX_RETURN_IF_ERROR(checkpoint_status_);
+  return Finalize();
+}
+
+void ExperimentHarness::Emit(double delay, int worker_key,
+                             net::EventPayload payload) {
+  NETMAX_CHECK_GE(delay, 0.0);
+  EmitAt(sim_.Now() + delay, worker_key, std::move(payload));
+}
+
 RunResult ExperimentHarness::Finalize() {
   RunResult result;
   result.algorithm = algorithm_name_;
@@ -672,7 +693,9 @@ RunResult ExperimentHarness::Finalize() {
   result.loss_vs_epoch = loss_vs_epoch_;
   result.accuracy_vs_time = accuracy_vs_time_;
   result.total_virtual_seconds = sim_.Now();
-  result.policies_generated = policies_generated_;
+  if (hooks_.monitor != nullptr) {
+    result.policies_generated = hooks_.monitor->policies_generated();
+  }
   result.backend = std::string(backend_->name());
   result.event_queue = std::string(sim_.queue_name());
   const net::ExecutionStats stats = sim_.execution_stats();

@@ -36,6 +36,8 @@
 
 namespace netmax::core {
 
+class NetworkMonitor;
+
 // How a run treats a neighbor that is dead (left/crashed) or stalled when a
 // round needs it (net/fault_schedule.h faults):
 //  * kWait — block the round on the peer, re-probing at a deterministic
@@ -81,6 +83,9 @@ inline constexpr int64_t kHarnessPeerTimeoutTag = kHarnessFaultTag + 5;
 inline constexpr int64_t kHarnessLocalStepTag = kHarnessFaultTag + 6;
 // args: [] — re-runs a synchronous round that was blocked or left empty.
 inline constexpr int64_t kHarnessRoundRetryTag = kHarnessFaultTag + 7;
+
+// worker_key value marking a plain (callback) event in reified scheduling.
+inline constexpr int kPlainEvent = -1;
 
 enum class PartitionScheme {
   kUniform,     // Sections V-B..E
@@ -512,16 +517,6 @@ class ExperimentHarness {
            compute_factor_[static_cast<size_t>(w)];
   }
 
-  // Called by the harness after applying each fault (and after restarting a
-  // rejoining worker's parked chain), on the simulator thread at the fault's
-  // virtual time. Prague uses it to evict a leaving worker from its waiting
-  // room. Must be (re-)registered on every run, including restored ones —
-  // listeners are not checkpointed.
-  using FaultListener = std::function<void(const net::FaultEvent&)>;
-  void set_fault_listener(FaultListener listener) {
-    fault_listener_ = std::move(listener);
-  }
-
   // --- dead-peer policy (PeerPolicy) ---
   // The one implementation of config.peer_policy, shared by every engine:
   //  * Iteration chains. Chain engines run one self-rescheduling iteration
@@ -539,19 +534,8 @@ class ExperimentHarness {
   //    members from SelectRoundMembers.
   // The episodes' events are harness-tagged, so a checkpoint restores them
   // without the engine, and the parked flags and round-blockage flag are
-  // part of the harness's checkpointed state.
-
-  // Registers the engine's chain entry points; like the fault listener, on
-  // every run, restored ones included. `start(w)` begins worker w's next
-  // iteration. `pull(w, m, waited)` issues w's pull from the live peer m
-  // after w waited `waited` virtual seconds for it (0 when m was alive at
-  // the draw); only pull engines pass one.
-  using PullIssuer = std::function<void(int w, int m, double waited)>;
-  void SetIterationChain(std::function<void(int)> start,
-                         PullIssuer pull = nullptr) {
-    chain_start_ = std::move(start);
-    pull_issuer_ = std::move(pull);
-  }
+  // part of the harness's checkpointed state. The engine entry points these
+  // paths call are EngineHooks::chain, ::pull and ::round.
 
   // Top of every chain iteration: false once WorkerDone(w), in which case
   // w's chain is now parked and the caller must stop it.
@@ -574,19 +558,13 @@ class ExperimentHarness {
   // chain, and this returns true.
   bool PullLost(int w, int m, double compute_seconds, double wall_seconds);
 
-  // Registers the engine's round entry point (the re-run of a round that
-  // SelectRoundMembers turned away), on every run like SetIterationChain.
-  void SetRoundRunner(std::function<void()> run_round) {
-    round_runner_ = std::move(run_round);
-  }
-
   // Fills *members with this round's membership. kWait blocks the whole
   // round while any worker is dead (counting one degraded round per
   // blockage); kTimeoutAndContinue runs with the live workers and also drops
   // stragglers whose slowed compute would hold the round more than
   // peer_timeout_seconds past the fastest member. Returns false when the
   // round cannot run yet; the harness then re-runs it through the round
-  // runner after peer_poll_seconds. A fault-free run always gets everyone.
+  // hook after peer_poll_seconds. A fault-free run always gets everyone.
   bool SelectRoundMembers(std::vector<int>* members);
 
   // Degradation accounting, surfaced in RunResult. Engines call these when a
@@ -609,54 +587,80 @@ class ExperimentHarness {
   // ceil(threads / num_workers)).
   int shards() const { return shards_; }
 
-  // For NetMax diagnostics.
-  void set_policies_generated(int64_t n) { policies_generated_ = n; }
-  int64_t policies_generated() const { return policies_generated_; }
-
-  // --- checkpoint / restore (implemented in core/checkpoint.cc) ---
-  // Serializes/restores the engine's own state blob within the checkpoint.
+  // --- run lifecycle (checkpoint parts in core/checkpoint.cc) ---
+  // The engine's part of a run, held by the harness for the run's lifetime.
+  // An engine passes the hooks it has; a checkpointable one passes at least
+  // `build` and schedules every event through Emit/EmitAt.
   using EngineStateSaver = std::function<Status(Serializer&)>;
   using EngineStateRestorer = std::function<Status(Deserializer&)>;
+  using PullIssuer = std::function<void(int w, int m, double waited)>;
+  using FaultListener = std::function<void(const net::FaultEvent&)>;
+  struct EngineHooks {
+    // Maps one of the engine's reified events (tag < kHarnessFaultTag) to
+    // its closures. Emit and the restore path both build through it, so each
+    // closure is defined once and live scheduling cannot drift from restore.
+    net::EventRebuilder build{};
+    // Fresh runs only: schedules the engine's initial events. A restored run
+    // skips it — the restored queue already holds them.
+    std::function<void()> start{};
+    // The engine's own checkpoint blob (null: the engine has none).
+    EngineStateSaver save{};
+    EngineStateRestorer restore{};
+    // Chain engines: chain(w) begins worker w's next iteration; pull engines
+    // also pass pull(w, m, waited), which issues w's pull from the live peer
+    // m after w waited `waited` virtual seconds for it (0 when m was alive at
+    // the draw). See "dead-peer policy" above.
+    std::function<void(int)> chain{};
+    PullIssuer pull{};
+    // Round engines: re-runs a round SelectRoundMembers turned away.
+    std::function<void()> round{};
+    // Called after each fault is applied (and after a rejoining worker's
+    // parked chain restarted), at the fault's virtual time. Prague uses it
+    // to evict a leaving worker from its waiting room.
+    FaultListener on_fault{};
+    // Engines with an Algorithm-1 monitor: RunResult reports its count.
+    const NetworkMonitor* monitor = nullptr;
+  };
 
-  // True when the config asks this run to resume from a checkpoint.
-  bool restore_requested() const {
-    return !config_.restore_path.empty() || config_.restore_source != nullptr;
-  }
-
-  // Restores harness + simulator + engine state from the configured source.
-  // The engine calls this after Init() and after rebuilding its deterministic
-  // setup (policies, monitors, topologies), INSTEAD of scheduling its initial
-  // events: the restored queue already holds them. `restore_engine` reads the
-  // engine state blob; `rebuilder` maps saved events back to closures.
-  Status Restore(const EngineStateRestorer& restore_engine,
-                 const net::EventRebuilder& rebuilder);
-
-  // Arms the configured checkpoints (no-op when none are):
+  // Runs the engine to completion, after Init and after the engine built its
+  // deterministic setup (policies, monitors, topologies): registers `hooks`,
+  // restores from the configured checkpoint or calls hooks.start, arms the
+  // configured checkpoints, runs the simulation until idle, and returns the
+  // first checkpoint failure or else Finalize's RunResult. Checkpoints:
   //  * one-shot — a tagged plain event at config.checkpoint_at_seconds that
   //    quiesces in-flight speculation, serializes the full experiment state
-  //    plus the engine blob from `save_engine`, and writes it to the
-  //    configured sink/path. A checkpoint time past the run's last event
-  //    fails via checkpoint_status() rather than write a dead checkpoint.
+  //    plus the engine blob from hooks.save, and writes it to the configured
+  //    sink/path. A checkpoint time past the run's last event fails the run
+  //    rather than write a dead checkpoint.
   //  * periodic cadence — a self-rechaining tick every
   //    config.checkpoint_every_seconds that writes the latest bytes to
   //    checkpoint_path (plus a `<path>.t<k>` history of checkpoint_retain
   //    files) and/or the sink; a tick that lands past the run's last event
   //    silently ends the cadence. On restored runs the cadence resumes
-  //    seamlessly: the next tick is re-armed here (or was restored with the
+  //    seamlessly: the next tick is re-armed (or was restored with the
   //    queue), consuming the exact sequence number the uninterrupted run
   //    would have, so restored and uninterrupted runs stay bit-identical.
-  // The run continues after every save. Failures surface through
-  // checkpoint_status(), which engines propagate after the run completes.
-  void ArmCheckpoint(EngineStateSaver save_engine);
+  StatusOr<RunResult> Run(EngineHooks hooks);
 
-  // Ok unless an armed checkpoint failed to serialize or write.
-  const Status& checkpoint_status() const { return checkpoint_status_; }
+  // Schedules the reified event (worker_key, payload) `delay` seconds from
+  // now, or at virtual time `time` (>= Now()), with the closures hooks.build
+  // (or the harness, for its own tags) makes of it. Engines that place events
+  // at computed absolute times (NIC reservations, round clocks) use EmitAt so
+  // the event time stays bit-exact. worker_key >= 0 makes a compute event
+  // keyed by that worker, kPlainEvent a plain one. A payload the builder
+  // rejects is a programmer error and aborts.
+  void Emit(double delay, int worker_key, net::EventPayload payload);
+  void EmitAt(double time, int worker_key, net::EventPayload payload);
 
   // Assembles the RunResult (final accuracy over all worker models, cost
   // averages, consensus distance).
   RunResult Finalize();
 
  private:
+  bool restore_requested() const {
+    return !config_.restore_path.empty() || config_.restore_source != nullptr;
+  }
+
   void OnEpochCompleted(int w, double epoch_loss);
   void RecordGlobalEpochPoint();
 
@@ -674,20 +678,21 @@ class ExperimentHarness {
                      double loss);
 
   // core/checkpoint.cc.
-  // Maps a harness-tagged SavedEvent (faults, cadence ticks, the one-shot
-  // checkpoint event, dead-peer waits) back to its closure; Restore wraps
-  // the engine's rebuilder with this so engines never see harness tags.
+  // The one mapping from a reified event to its closures, shared by EmitAt
+  // and Restore: harness tags go to BuildHarnessEvent (faults, cadence
+  // ticks, the one-shot checkpoint event, dead-peer waits), everything else
+  // to hooks_.build, so engines never see harness tags.
+  StatusOr<net::RebuiltEvent> BuildEvent(const net::SavedEvent& saved);
   StatusOr<net::RebuiltEvent> BuildHarnessEvent(const net::SavedEvent& saved);
-  // Schedules a harness event through BuildHarnessEvent, so live scheduling
-  // and restore-time rebuilding share one closure definition per tag. A
-  // non-negative `worker_key` makes it a compute event keyed by that worker.
-  void ScheduleHarnessEvent(double time, net::EventPayload payload,
-                            int worker_key = -1);
+  // Restores harness + simulator + engine state from the configured source
+  // instead of calling hooks_.start.
+  Status Restore();
+  // Arms the configured one-shot and periodic checkpoints (see Run).
+  void ArmCheckpoint();
   void OneShotCheckpoint(double at);
   void CadenceTick(int64_t tick_index);
-  StatusOr<std::vector<uint8_t>> SerializeCheckpoint(
-      const EngineStateSaver& save_engine);
-  Status SaveCheckpoint(const EngineStateSaver& save_engine);
+  StatusOr<std::vector<uint8_t>> SerializeCheckpoint();
+  Status SaveCheckpoint();
   Status SavePeriodicCheckpoint(int64_t tick_index);
   void SaveWorker(Serializer& out, const WorkerRuntime& worker) const;
   Status RestoreWorker(Deserializer& in, WorkerRuntime& worker);
@@ -722,7 +727,6 @@ class ExperimentHarness {
   ml::Series loss_vs_epoch_;
   ml::Series accuracy_vs_time_;
   int64_t total_epochs_completed_ = 0;
-  int64_t policies_generated_ = 0;
 
   // Fault-injection state (checkpointed, so restored fault runs resume with
   // the same liveness view and counters).
@@ -741,26 +745,23 @@ class ExperimentHarness {
   // model's layer geometry; plus the shared delta scratch.
   ml::GradientCompressor compressor_;
   std::vector<double> compression_scratch_;
-  FaultListener fault_listener_;  // not checkpointed; re-registered per run
+  // The engine's hooks for the current run (not checkpointed: every run,
+  // restored ones included, passes them to Run).
+  EngineHooks hooks_;
 
   // Dead-peer policy state (checkpointed): per-worker "iteration chain is
   // parked" flags, and whether a kWait round is currently blocked on a dead
   // worker (so the degraded-round count increments once per blockage, not
-  // per re-probe). The engine entry points are re-registered per run.
+  // per re-probe).
   std::vector<uint8_t> parked_;
   bool round_blocked_ = false;
-  std::function<void(int)> chain_start_;
-  PullIssuer pull_issuer_;
-  std::function<void()> round_runner_;
 
   // Outcome of the armed checkpoint(s), if any.
   Status checkpoint_status_;
-  // Periodic-cadence state: the saver ArmCheckpoint captured, the index the
-  // next tick will carry (checkpointed, so a restored run's `<path>.t<k>`
-  // history continues where the crashed run's left off), and whether the
-  // restored queue already holds a pending tick (in which case ArmCheckpoint
-  // must not arm a duplicate).
-  EngineStateSaver checkpoint_saver_;
+  // Periodic-cadence state: the index the next tick will carry (checkpointed,
+  // so a restored run's `<path>.t<k>` history continues where the crashed
+  // run's left off), and whether the restored queue already holds a pending
+  // tick (in which case ArmCheckpoint must not arm a duplicate).
   int64_t cadence_next_index_ = 1;
   bool cadence_tick_restored_ = false;
 };

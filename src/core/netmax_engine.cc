@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/stats.h"
 #include "core/checkpoint.h"
 #include "core/monitor.h"
 #include "linalg/vector_ops.h"
@@ -27,65 +26,52 @@ class NetMaxEngine {
   StatusOr<RunResult> Run() {
     NETMAX_RETURN_IF_ERROR(harness_.Init());
     const int n = harness_.num_workers();
-    topology_ = &harness_.topology();
 
     // Initial uniform policy and rho_0 with
     // alpha * rho_0 * (M - 1) = initial_consensus_coefficient.
     policy_ = std::make_unique<CommunicationPolicy>(
-        CommunicationPolicy::Uniform(*topology_));
+        CommunicationPolicy::Uniform(harness_.topology()));
     rho_ = config_.initial_consensus_coefficient /
            (config_.learning_rate * static_cast<double>(n - 1));
 
-    // Monitor (Algorithm 1).
+    // Monitor (Algorithm 1), fed by every successful pull's iteration time.
     MonitorOptions monitor_options;
     monitor_options.schedule_period_seconds = config_.monitor_period_seconds;
+    monitor_options.ema_beta = config_.ema_beta;
     monitor_options.generator = config_.generator;
     monitor_options.generator.alpha = config_.learning_rate;
-    monitor_ = std::make_unique<NetworkMonitor>(*topology_, monitor_options);
+    monitor_ = std::make_unique<NetworkMonitor>(harness_.topology(),
+                                                monitor_options);
 
-    // Per-link iteration-time EMAs (Algorithm 2, UPDATETIMEVECTOR).
-    ema_times_.assign(
-        static_cast<size_t>(n),
-        std::vector<ExponentialMovingAverage>(
-            static_cast<size_t>(n),
-            ExponentialMovingAverage(config_.ema_beta)));
-
-    builder_ = [this](const net::SavedEvent& event) {
-      return BuildEvent(event);
-    };
-    harness_.SetIterationChain(
-        [this](int w) { StartIteration(w); },
-        [this](int w, int m, double waited) { IssuePull(w, m, waited); });
-    if (harness_.restore_requested()) {
-      NETMAX_RETURN_IF_ERROR(harness_.Restore(
-          [this](Deserializer& in) { return RestoreEngineState(in); },
-          builder_));
-    } else {
-      for (int w = 0; w < n; ++w) StartIteration(w);
-      if (config_.adaptive_policy) {
-        Emit(config_.monitor_period_seconds, kPlainEvent, {kMonitorTick, {}});
-      }
-    }
-    harness_.ArmCheckpoint(
-        [this](Serializer& out) { return SaveEngineState(out); });
-    harness_.sim().RunUntilIdle();
-    NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
-    harness_.set_policies_generated(monitor_->policies_generated());
-    return harness_.Finalize();
+    return harness_.Run({
+        .build = [this](const net::SavedEvent& event) {
+          return BuildEvent(event);
+        },
+        .start =
+            [this, n] {
+              for (int w = 0; w < n; ++w) StartIteration(w);
+              if (config_.adaptive_policy) {
+                harness_.Emit(config_.monitor_period_seconds, kPlainEvent,
+                              {kMonitorTick, {}});
+              }
+            },
+        .save = [this](Serializer& out) { return SaveEngineState(out); },
+        .restore = [this](Deserializer& in) { return RestoreEngineState(in); },
+        .chain = [this](int w) { StartIteration(w); },
+        .pull = [this](int w, int m, double waited) {
+          IssuePull(w, m, waited);
+        },
+        .monitor = monitor_.get(),
+    });
   }
 
  private:
-  // Checkpoint reification tags (core/checkpoint.h).
+  // Reified event tags (ExperimentHarness::Emit).
   enum Tag : int64_t {
     kSelfStep = 0,      // compute event: args [compute_seconds]
     kPull = 1,  // compute event: args [peer, compute_secs, wall_secs, round]
     kMonitorTick = 2,   // plain event: args []
   };
-
-  void Emit(double delay, int worker_key, net::EventPayload payload) {
-    ScheduleReified(harness_.sim(), delay, worker_key, std::move(payload),
-                    builder_);
-  }
 
   StatusOr<net::RebuiltEvent> BuildEvent(const net::SavedEvent& event) {
     const std::vector<double>& args = event.payload.args;
@@ -134,26 +120,16 @@ class NetMaxEngine {
   Status SaveEngineState(Serializer& out) {
     SaveMatrix(out, policy_->matrix());
     out.WriteDouble(rho_);
-    SaveEmaGrid(out, ema_times_);
-    out.WriteI64(monitor_->policies_generated());
+    monitor_->Save(out);
     return Status::Ok();
   }
 
   Status RestoreEngineState(Deserializer& in) {
-    NETMAX_ASSIGN_OR_RETURN(linalg::Matrix matrix, LoadMatrix(in));
-    const int n = harness_.num_workers();
-    if (matrix.rows() != n || matrix.cols() != n) {
-      return InvalidArgumentError("checkpoint policy matrix shape mismatch");
-    }
-    policy_ = std::make_unique<CommunicationPolicy>(std::move(matrix));
+    NETMAX_ASSIGN_OR_RETURN(CommunicationPolicy policy,
+                            LoadPolicy(in, harness_.topology()));
+    policy_ = std::make_unique<CommunicationPolicy>(std::move(policy));
     NETMAX_ASSIGN_OR_RETURN(rho_, in.ReadDouble());
-    NETMAX_RETURN_IF_ERROR(RestoreEmaGrid(in, &ema_times_));
-    NETMAX_ASSIGN_OR_RETURN(const int64_t generated, in.ReadI64());
-    if (generated < 0) {
-      return InvalidArgumentError("negative policies_generated count");
-    }
-    monitor_->set_policies_generated(generated);
-    return Status::Ok();
+    return monitor_->Restore(in);
   }
 
   void StartIteration(int w) {
@@ -167,14 +143,14 @@ class NetMaxEngine {
     // Self-selection: pure local step, no communication this iteration.
     const double compute = harness_.EffectiveComputeSeconds(w);
     harness_.SampleBatch(w);
-    Emit(compute, w, {kSelfStep, {compute}});
+    harness_.Emit(compute, w, {kSelfStep, {compute}});
   }
 
   // Two-phase iteration: the peer draw and batch sampling happen in the
   // commit context of the previous iteration (or of the dead-peer wait that
   // held it), the gradient evaluation is the pure compute half, and
   // CompleteIteration is the ordered commit. The iteration's wall time
-  // accounts any wait on top of the compute/transfer leg (the Emit delay
+  // accounts any wait on top of the compute/transfer leg (the event delay
   // covers only the latter — the wait already elapsed in virtual time).
   void IssuePull(int w, int m, double waited) {
     const double compute = harness_.EffectiveComputeSeconds(w);
@@ -184,10 +160,10 @@ class NetMaxEngine {
     const double wall = config_.overlap_communication
                             ? std::max(compute, transfer)
                             : compute + transfer;
-    Emit(wall, w,
-         {kPull,
-          {static_cast<double>(m), compute, waited + wall,
-           static_cast<double>(round)}});
+    harness_.Emit(wall, w,
+                  {kPull,
+                   {static_cast<double>(m), compute, waited + wall,
+                    static_cast<double>(round)}});
   }
 
   void CompleteIteration(int w, int m, double compute, double wall,
@@ -242,24 +218,14 @@ class NetMaxEngine {
       }
     }
     // Iteration-time EMA (line 16 / lines 19-22).
-    ema_times_[static_cast<size_t>(w)][static_cast<size_t>(m)].Add(wall);
+    monitor_->Record(w, m, wall);
     harness_.AccountIteration(w, compute, wall);
     StartIteration(w);
   }
 
   void MonitorTick() {
     if (harness_.AllDone()) return;  // training is over; monitor stops
-    const int n = harness_.num_workers();
-    linalg::Matrix times(n, n, 0.0);
-    for (int i = 0; i < n; ++i) {
-      for (int m : topology_->Neighbors(i)) {
-        const auto& ema =
-            ema_times_[static_cast<size_t>(i)][static_cast<size_t>(m)];
-        if (ema.has_value()) times(i, m) = ema.value();
-      }
-    }
-    StatusOr<GeneratedPolicy> generated =
-        monitor_->ComputePolicy(times, harness_.pool());
+    StatusOr<GeneratedPolicy> generated = monitor_->Tick(harness_.pool());
     if (generated.ok()) {
       policy_ = std::make_unique<CommunicationPolicy>(
           std::move(generated.value().policy));
@@ -267,17 +233,15 @@ class NetMaxEngine {
     }
     // Warm-up (no measurements yet) or infeasible configurations keep the
     // previous policy; either way the monitor keeps running.
-    Emit(config_.monitor_period_seconds, kPlainEvent, {kMonitorTick, {}});
+    harness_.Emit(config_.monitor_period_seconds, kPlainEvent,
+                  {kMonitorTick, {}});
   }
 
   ExperimentHarness harness_;
   ExperimentConfig config_;
-  const net::Topology* topology_ = nullptr;
   std::unique_ptr<CommunicationPolicy> policy_;
   std::unique_ptr<NetworkMonitor> monitor_;
   double rho_ = 0.0;
-  std::vector<std::vector<ExponentialMovingAverage>> ema_times_;
-  net::EventRebuilder builder_;
 };
 
 }  // namespace

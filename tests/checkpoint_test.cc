@@ -377,6 +377,104 @@ TEST(CheckpointErrors, HugeSeriesLengthIsOutOfRange) {
       << status.ToString();
 }
 
+// Byte offset of the engine blob's n x n policy matrix: the last SaveMatrix
+// header (rows, cols, element count) in the checkpoint.
+size_t PolicyMatrixOffset(const std::vector<uint8_t>& checkpoint, int n) {
+  Serializer header;
+  header.WriteInt(n);
+  header.WriteInt(n);
+  header.WriteU64(static_cast<uint64_t>(n) * static_cast<uint64_t>(n));
+  const auto found =
+      std::find_end(checkpoint.begin(), checkpoint.end(),
+                    header.bytes().begin(), header.bytes().end());
+  NETMAX_CHECK(found != checkpoint.end());
+  return static_cast<size_t>(found - checkpoint.begin());
+}
+
+// Overwrites the bytes at `offset` with what `write` serializes.
+template <typename WriteFn>
+void Splice(std::vector<uint8_t>* checkpoint, size_t offset, WriteFn write) {
+  Serializer out;
+  write(out);
+  NETMAX_CHECK_LE(offset + out.bytes().size(), checkpoint->size());
+  std::copy(out.bytes().begin(), out.bytes().end(),
+            checkpoint->begin() + static_cast<std::ptrdiff_t>(offset));
+}
+
+// Writes `row` over row `w` of the policy matrix at `offset`.
+void SplicePolicyRow(std::vector<uint8_t>* checkpoint, size_t offset, int n,
+                     int w, const std::vector<double>& row) {
+  Splice(checkpoint, offset + 24 + 8 * static_cast<size_t>(w * n),
+         [&](Serializer& out) {
+           for (const double p : row) out.WriteDouble(p);
+         });
+}
+
+// The policy matrix's stored shape set to 2^30 x 2^30: LoadMatrix refuses
+// any shape but n x n before it allocates (2^60 doubles would abort).
+TEST(CheckpointErrors, HugePolicyShapeIsRejected) {
+  const ExperimentConfig base = BaseConfig();
+  std::vector<uint8_t> checkpoint = MakeCheckpoint(base, "netmax");
+  Splice(&checkpoint, PolicyMatrixOffset(checkpoint, base.num_workers),
+         [](Serializer& out) {
+           out.WriteInt(1 << 30);
+           out.WriteInt(1 << 30);
+         });
+  ExperimentConfig resumed = base;
+  resumed.restore_source = &checkpoint;
+  const Status status = TryRun("netmax", resumed);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("shape"), std::string::npos)
+      << status.ToString();
+}
+
+// Restored NetMax policy rows with a negative entry are refused instead of
+// reaching the peer sampler, which aborts on negative probabilities. Every
+// row gets one, because workers that already finished never draw again, and
+// the monitor is off so no tick replaces the policy before the draws.
+TEST(CheckpointErrors, NegativePolicyEntryIsRejected) {
+  ExperimentConfig base = BaseConfig();
+  base.adaptive_policy = false;
+  const int n = base.num_workers;
+  std::vector<uint8_t> checkpoint = MakeCheckpoint(base, "netmax");
+  const size_t offset = PolicyMatrixOffset(checkpoint, n);
+  for (int w = 0; w < n; ++w) {
+    std::vector<double> row(static_cast<size_t>(n), 1.0 / (n - 2));
+    row[static_cast<size_t>(w)] = 0.0;
+    // Still sums to 1: one neighbor gives its share to another.
+    row[static_cast<size_t>((w + 1) % n)] = -1.0 / (n - 2);
+    row[static_cast<size_t>((w + 2) % n)] = 2.0 / (n - 2);
+    SplicePolicyRow(&checkpoint, offset, n, w, row);
+  }
+  ExperimentConfig resumed = base;
+  resumed.restore_source = &checkpoint;
+  const Status status = TryRun("netmax", resumed);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("negative"), std::string::npos)
+      << status.ToString();
+}
+
+// A restored AD-PSGD row with all its mass on p_ww is a valid policy row but
+// would spin StartIteration's redraw-until-a-peer loop forever. Every row is
+// made so, because workers that already finished never draw again.
+TEST(CheckpointErrors, AdPsgdPolicyRowWithoutNeighborMassIsRejected) {
+  const ExperimentConfig base = BaseConfig();
+  const int n = base.num_workers;
+  std::vector<uint8_t> checkpoint = MakeCheckpoint(base, "adpsgd");
+  const size_t offset = PolicyMatrixOffset(checkpoint, n);
+  for (int w = 0; w < n; ++w) {
+    std::vector<double> row(static_cast<size_t>(n), 0.0);
+    row[static_cast<size_t>(w)] = 1.0;
+    SplicePolicyRow(&checkpoint, offset, n, w, row);
+  }
+  ExperimentConfig resumed = base;
+  resumed.restore_source = &checkpoint;
+  const Status status = TryRun("adpsgd", resumed);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("neighbor mass"), std::string::npos)
+      << status.ToString();
+}
+
 TEST(CheckpointErrors, BadMagicIsRejected) {
   const ExperimentConfig base = BaseConfig();
   std::vector<uint8_t> checkpoint = MakeCheckpoint(base);

@@ -140,6 +140,19 @@ TEST(SerializeTest, HugeVectorLengthIsOutOfRangeNotAnAbort) {
   EXPECT_EQ(ints_in.ReadIntVec(&ints).code(), StatusCode::kOutOfRange);
 }
 
+// CheckCount, the bound every count-sized read goes through: an exact fit
+// passes, one element more does not, and neither does a count whose byte
+// size wraps to 0 in 64 bits.
+TEST(SerializeTest, CheckCountIsOverflowSafe) {
+  const std::vector<uint8_t> bytes(16);
+  const Deserializer in(bytes);
+  NETMAX_EXPECT_OK(in.CheckCount(2, 8, "pair"));
+  EXPECT_EQ(in.CheckCount(3, 8, "pair").code(), StatusCode::kOutOfRange);
+  const Status wrapped = in.CheckCount(uint64_t{1} << 61, 8, "pair");
+  EXPECT_EQ(wrapped.code(), StatusCode::kOutOfRange);
+  EXPECT_NE(wrapped.message().find("truncated pair"), std::string::npos);
+}
+
 TEST(SerializeTest, ReadIntRejectsValuesThatDoNotFit) {
   Serializer out;
   out.WriteI64(static_cast<int64_t>(std::numeric_limits<int>::max()) + 1);

@@ -6,6 +6,7 @@
 
 #include "net/wire_format.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -93,6 +94,11 @@ TEST(WireCodecTest, DenseF64RejectsMalformedBuffers) {
   bytes[0] ^= 0xFF;  // corrupt the encoding tag
   EXPECT_FALSE(DecodeDenseF64(bytes).ok());
   EXPECT_FALSE(DecodeDenseF64(std::vector<uint8_t>(3)).ok());
+  // A 0xFFFFFFFF count: the exact payload-size check refuses it before any
+  // allocation (wire counts are u32, so the size arithmetic cannot wrap).
+  std::vector<uint8_t> huge_count = EncodeDenseF64(values);
+  std::fill(huge_count.begin() + 4, huge_count.begin() + 8, uint8_t{0xFF});
+  EXPECT_FALSE(DecodeDenseF64(huge_count).ok());
 }
 
 TEST(WireCodecTest, TopKRoundTripsEntriesBitExactly) {
