@@ -22,6 +22,7 @@
 #include "ml/sharding.h"
 #include "ml/workspace.h"
 #include "net/event_sim.h"
+#include "tests/policy_lp_reference.h"
 #include "tests/reference_impls.h"
 
 namespace netmax {
@@ -72,23 +73,47 @@ void BM_JacobiEigen(benchmark::State& state) {
 }
 BENCHMARK(BM_JacobiEigen)->Arg(8)->Arg(16)->Arg(32);
 
-void BM_PolicyLp(benchmark::State& state) {
-  // The Eq. (14) LP for a complete graph of M nodes, via the generator's
-  // single-(rho, t_bar) path: approximated by a 1x1 grid.
-  const int n = static_cast<int>(state.range(0));
-  net::Topology topo = net::Topology::Complete(n);
+// One Eq. (14) LP for a complete graph of M nodes at a fixed feasible grid
+// point: rho = 0.01 and t_bar at the middle of its Appendix-A interval.
+struct PolicyLpPoint {
+  net::Topology topology;
   core::PolicyGeneratorOptions options;
-  options.alpha = 0.1;
-  options.outer_rounds = 1;
-  options.inner_rounds = 1;
-  core::PolicyGenerator generator(topo, options);
-  const linalg::Matrix times = RandomTimes(n, 2);
+  linalg::Matrix times;
+  double rho = 0.01;
+  double t_bar = 0.0;
+
+  explicit PolicyLpPoint(int n)
+      : topology(net::Topology::Complete(n)), times(RandomTimes(n, 2)) {
+    options.alpha = 0.1;
+    const auto [lower, upper] =
+        core::PolicyGenerator(topology, options)
+            .FeasibleStepTimeInterval(rho, times);
+    t_bar = 0.5 * (lower + upper);
+  }
+};
+
+void BM_PolicyLp(benchmark::State& state) {
+  // The production row-wise solve: M small LPs, one per row of P.
+  const PolicyLpPoint point(static_cast<int>(state.range(0)));
+  const core::PolicyGenerator generator(point.topology, point.options);
   for (auto _ : state) {
-    auto result = generator.Generate(times);
+    auto result = generator.SolvePolicyLp(point.rho, point.t_bar, point.times);
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_PolicyLp)->Arg(8)->Arg(16);
+BENCHMARK(BM_PolicyLp)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+
+void BM_PolicyLpDense(benchmark::State& state) {
+  // The same LP as one dense tableau over all M + |E| variables (the oracle
+  // in tests/policy_lp_reference.h): the in-run reference for BM_PolicyLp.
+  const PolicyLpPoint point(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    auto result = core::reference::SolvePolicyLpDense(
+        point.topology, point.options, point.rho, point.t_bar, point.times);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_PolicyLpDense)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_PolicyGenerationFull(benchmark::State& state) {
   // Full Algorithm 3 with the paper-scale grid (K = R = 8): what the monitor
@@ -106,7 +131,7 @@ void BM_PolicyGenerationFull(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_PolicyGenerationFull)->Arg(8)->Arg(16);
+BENCHMARK(BM_PolicyGenerationFull)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_EventSimulatorThroughput(benchmark::State& state) {
   for (auto _ : state) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -31,8 +32,6 @@ PolicyGenerator::PolicyGenerator(net::Topology topology,
       << "Assumption 1 requires a connected graph";
 }
 
-namespace {
-
 // Eq. (11) lower bound for an edge probability: 2*alpha*rho (both indicators
 // are 1 on an undirected edge) made strict by the margin. In averaging mode
 // the update coefficient does not depend on p, so only the margin is needed
@@ -43,8 +42,6 @@ double EdgeLowerBound(const PolicyGeneratorOptions& options, double rho) {
   }
   return 2.0 * options.alpha * rho + options.probability_margin;
 }
-
-}  // namespace
 
 std::pair<double, double> PolicyGenerator::FeasibleStepTimeInterval(
     double rho, const linalg::Matrix& iteration_times) const {
@@ -70,65 +67,48 @@ StatusOr<CommunicationPolicy> PolicyGenerator::SolvePolicyLp(
     double rho, double t_bar, const linalg::Matrix& iteration_times) const {
   const int n = topology_.num_nodes();
   const double lb = EdgeLowerBound(options_, rho);
-
-  // Variable layout: first the n self-probabilities p_{i,i}, then one
-  // variable per directed edge (i -> m), in row-major edge order.
-  std::vector<std::pair<int, int>> edges;
-  std::vector<int> edge_var(static_cast<size_t>(n) * n, -1);
-  for (int i = 0; i < n; ++i) {
-    for (int m : topology_.Neighbors(i)) {
-      edge_var[static_cast<size_t>(i) * n + m] =
-          n + static_cast<int>(edges.size());
-      edges.emplace_back(i, m);
-    }
-  }
-  const int num_vars = n + static_cast<int>(edges.size());
-
+  // One problem, refilled for every row: Eq. (10)_i then Eq. (13)_i.
   linalg::LpProblem lp;
-  lp.num_vars = num_vars;
-  lp.objective.assign(static_cast<size_t>(num_vars), 0.0);
-  for (int i = 0; i < n; ++i) lp.objective[static_cast<size_t>(i)] = 1.0;
-  lp.lower_bounds.assign(static_cast<size_t>(num_vars), 0.0);
-  lp.upper_bounds.assign(static_cast<size_t>(num_vars), 1.0);
-  for (size_t e = 0; e < edges.size(); ++e) {
-    lp.lower_bounds[static_cast<size_t>(n) + e] = lb;
-  }
-
-  // Eq. (10): sum_m t_{i,m} p_{i,m} = M * t_bar for every i.
-  for (int i = 0; i < n; ++i) {
-    std::vector<double> row(static_cast<size_t>(num_vars), 0.0);
-    for (int m : topology_.Neighbors(i)) {
-      row[static_cast<size_t>(edge_var[static_cast<size_t>(i) * n + m])] =
-          iteration_times(i, m);
-    }
-    lp.AddConstraint(std::move(row), linalg::LpRelation::kEqual,
-                     static_cast<double>(n) * t_bar);
-  }
-  // Eq. (13): rows of P sum to 1.
-  for (int i = 0; i < n; ++i) {
-    std::vector<double> row(static_cast<size_t>(num_vars), 0.0);
-    row[static_cast<size_t>(i)] = 1.0;
-    for (int m : topology_.Neighbors(i)) {
-      row[static_cast<size_t>(edge_var[static_cast<size_t>(i) * n + m])] = 1.0;
-    }
-    lp.AddConstraint(std::move(row), linalg::LpRelation::kEqual, 1.0);
-  }
-
-  StatusOr<linalg::LpSolution> solution = linalg::SolveLp(lp);
-  if (!solution.ok()) return solution.status();
-
+  lp.AddConstraint({}, linalg::LpRelation::kEqual,
+                   static_cast<double>(n) * t_bar);
+  lp.AddConstraint({}, linalg::LpRelation::kEqual, 1.0);
+  std::vector<double>& times = lp.constraints[0].coefficients;
   linalg::Matrix p(n, n, 0.0);
   for (int i = 0; i < n; ++i) {
-    p(i, i) = std::max(0.0, solution->x[static_cast<size_t>(i)]);
-  }
-  for (size_t e = 0; e < edges.size(); ++e) {
-    const auto [i, m] = edges[e];
-    p(i, m) = std::max(0.0, solution->x[static_cast<size_t>(n) + e]);
-  }
-  // Renormalize away simplex round-off so rows sum to exactly 1.
-  for (int i = 0; i < n; ++i) {
+    // Row i's variables: p_{i,i} first, then p_{i,m} for each neighbour m in
+    // ascending order; the same relative order as in one global tableau.
+    const std::vector<int>& neighbors = topology_.Neighbors(i);
+    const size_t num_vars = neighbors.size() + 1;
+    lp.num_vars = static_cast<int>(num_vars);
+    lp.objective.assign(num_vars, 0.0);
+    lp.objective[0] = 1.0;
+    lp.lower_bounds.assign(num_vars, lb);
+    lp.lower_bounds[0] = 0.0;
+    lp.upper_bounds.assign(num_vars, 1.0);
+    // Eq. (10)_i: sum_m t_{i,m} p_{i,m} = M * t_bar.
+    times.assign(num_vars, 0.0);
+    for (size_t k = 0; k < neighbors.size(); ++k) {
+      times[k + 1] = iteration_times(i, neighbors[k]);
+    }
+    // Eq. (13)_i: row i of P sums to 1.
+    lp.constraints[1].coefficients.assign(num_vars, 1.0);
+
+    StatusOr<linalg::LpSolution> solution = linalg::SolveLp(lp);
+    if (!solution.ok()) {
+      return Status(solution.status().code(),
+                    "row " + std::to_string(i) + ": " +
+                        solution.status().message());
+    }
+    p(i, i) = std::max(0.0, solution->x[0]);
+    for (size_t k = 0; k < neighbors.size(); ++k) {
+      p(i, neighbors[k]) = std::max(0.0, solution->x[k + 1]);
+    }
+    // Renormalize away simplex round-off so the row sums to exactly 1.
     const double row_sum = p.RowSum(i);
-    NETMAX_CHECK_GT(row_sum, 0.0);
+    if (!(row_sum > 0.0)) {
+      return InternalError("row " + std::to_string(i) +
+                           ": LP solution has no probability mass");
+    }
     for (int m = 0; m < n; ++m) p(i, m) /= row_sum;
   }
   return CommunicationPolicy(std::move(p));

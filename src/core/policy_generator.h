@@ -14,6 +14,13 @@
 // then scores the candidate by T_conv = t_bar * ln(eps) / ln(lambda_2(Y_P))
 // and returns the best policy found.
 //
+// Every constraint of Eq. (14) involves a single row i of P, so the LP splits
+// into M independent row problems over [p_{i,i}, p_{i,m} for m in N(i)]. Each
+// row is solved with linalg::SolveLp; the global tableau is block-diagonal by
+// row, so the per-row solves take the same pivots as one global solve would,
+// at a small fraction of its cost. lambda_2 comes from the values-only Jacobi
+// sweep (linalg::SecondLargestEigenvalue).
+//
 // The same machinery generates policies for pairwise-averaging gossip
 // (Section III-D extension, e.g. AD-PSGD + Monitor) by swapping the Y matrix
 // construction and the Eq. (11) lower bound.
@@ -65,6 +72,9 @@ struct GeneratedPolicy {
   double expected_convergence_seconds = 0.0;
 };
 
+// Eq. (11) lower bound on every edge probability p_{i,m} at this rho.
+double EdgeLowerBound(const PolicyGeneratorOptions& options, double rho);
+
 class PolicyGenerator {
  public:
   PolicyGenerator(net::Topology topology, PolicyGeneratorOptions options);
@@ -88,6 +98,13 @@ class PolicyGenerator {
   std::pair<double, double> FeasibleStepTimeInterval(
       double rho, const linalg::Matrix& iteration_times) const;
 
+  // Solves the LP of Eq. (14) for fixed (rho, t_bar), one row of P at a time.
+  // A row without a feasible point fails the whole solve with that row's
+  // status, its message prefixed by "row <i>: ". Pure function of its
+  // arguments, safe to run concurrently.
+  StatusOr<CommunicationPolicy> SolvePolicyLp(
+      double rho, double t_bar, const linalg::Matrix& iteration_times) const;
+
  private:
   struct Candidate {
     CommunicationPolicy policy;
@@ -100,10 +117,6 @@ class PolicyGenerator {
   // Evaluates one grid point (fixed rho and t_bar): LP solve + lambda_2
   // scoring. Pure function of its arguments, safe to run concurrently.
   StatusOr<Candidate> EvaluateGridPoint(
-      double rho, double t_bar, const linalg::Matrix& iteration_times) const;
-
-  // Solves the LP of Eq. (14) for fixed (rho, t_bar).
-  StatusOr<CommunicationPolicy> SolvePolicyLp(
       double rho, double t_bar, const linalg::Matrix& iteration_times) const;
 
   // Scores a feasible policy: computes lambda_2 of the mode's Y matrix.

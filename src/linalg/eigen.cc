@@ -24,10 +24,13 @@ double OffDiagonalNorm(const Matrix& a) {
   return acc;
 }
 
-}  // namespace
-
-StatusOr<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
-                                                  double symmetry_tol) {
+// Diagonalizes a copy of the symmetric matrix `a` with cyclic Jacobi sweeps
+// and returns it; its diagonal holds the eigenvalues. When `vectors` is
+// non-null the rotations are also accumulated into it, starting from the
+// identity. The rotations of the copy never read `vectors`, so the
+// eigenvalues are the same bits whether or not eigenvectors are wanted.
+StatusOr<Matrix> JacobiSweeps(const Matrix& a, double symmetry_tol,
+                              Matrix* vectors) {
   if (a.rows() != a.cols()) {
     return InvalidArgumentError("JacobiEigenSymmetric: matrix not square");
   }
@@ -36,12 +39,12 @@ StatusOr<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
   }
   const int n = a.rows();
   Matrix work = a;
-  Matrix vectors = Matrix::Identity(n);
+  if (vectors != nullptr) *vectors = Matrix::Identity(n);
   // The rotation loops touch every element of two rows/columns per (p, q)
   // pair; raw row-major access keeps them branch-free (operator() bounds
   // checks would dominate the sweep).
   double* wd = work.mutable_data().data();
-  double* vd = vectors.mutable_data().data();
+  double* vd = vectors != nullptr ? vectors->mutable_data().data() : nullptr;
 
   constexpr int kMaxSweeps = 100;
   constexpr double kConvergence = 1e-22;  // off-diagonal Frobenius^2 target
@@ -62,7 +65,7 @@ StatusOr<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
         const double s = t * c;
 
         // Apply the rotation J(p, q, theta) on both sides of `work` and
-        // accumulate it into `vectors`.
+        // accumulate it into `vectors` when wanted.
         for (int k = 0; k < n; ++k) {
           double* row = wd + static_cast<size_t>(k) * n;
           const double akp = row[p];
@@ -78,6 +81,7 @@ StatusOr<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
           wp[k] = c * apk - s * aqk;
           wq[k] = s * apk + c * aqk;
         }
+        if (vd == nullptr) continue;
         for (int k = 0; k < n; ++k) {
           double* row = vd + static_cast<size_t>(k) * n;
           const double vkp = row[p];
@@ -88,30 +92,52 @@ StatusOr<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
       }
     }
   }
+  return work;
+}
 
-  // Collect eigenvalues and sort descending, permuting eigenvector columns.
-  std::vector<int> order(static_cast<size_t>(n));
+// Indices of the diagonal of `work`, ordered by descending value.
+std::vector<int> DescendingDiagonalOrder(const Matrix& work) {
+  std::vector<int> order(static_cast<size_t>(work.rows()));
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),
             [&](int x, int y) { return work(x, x) > work(y, y); });
+  return order;
+}
 
+}  // namespace
+
+StatusOr<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
+                                                  double symmetry_tol) {
+  Matrix vectors;
+  StatusOr<Matrix> work = JacobiSweeps(a, symmetry_tol, &vectors);
+  if (!work.ok()) return work.status();
+  const int n = a.rows();
+  const std::vector<int> order = DescendingDiagonalOrder(work.value());
+
+  // Collect eigenvalues in descending order, permuting eigenvector columns.
   EigenDecomposition out;
   out.eigenvalues.resize(static_cast<size_t>(n));
   out.eigenvectors = Matrix(n, n);
   for (int c = 0; c < n; ++c) {
     const int source = order[static_cast<size_t>(c)];
-    out.eigenvalues[static_cast<size_t>(c)] = work(source, source);
+    out.eigenvalues[static_cast<size_t>(c)] = work.value()(source, source);
     for (int r = 0; r < n; ++r) {
-      out.eigenvectors(r, c) = vectors(r, order[static_cast<size_t>(c)]);
+      out.eigenvectors(r, c) = vectors(r, source);
     }
   }
   return out;
 }
 
 StatusOr<std::vector<double>> SymmetricEigenvalues(const Matrix& a) {
-  StatusOr<EigenDecomposition> decomp = JacobiEigenSymmetric(a);
-  if (!decomp.ok()) return decomp.status();
-  return std::move(decomp.value().eigenvalues);
+  // Same symmetry tolerance as JacobiEigenSymmetric's default.
+  StatusOr<Matrix> work = JacobiSweeps(a, /*symmetry_tol=*/1e-9, nullptr);
+  if (!work.ok()) return work.status();
+  std::vector<double> values;
+  values.reserve(static_cast<size_t>(a.rows()));
+  for (int source : DescendingDiagonalOrder(work.value())) {
+    values.push_back(work.value()(source, source));
+  }
+  return values;
 }
 
 StatusOr<double> SecondLargestEigenvalue(const Matrix& a) {

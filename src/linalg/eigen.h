@@ -8,6 +8,11 @@
 // matrix Y_P = E[D^kT D^k]. Y_P is symmetric, so a cyclic Jacobi rotation
 // solver is robust and exact enough; a power-iteration variant is provided as
 // an independent cross-check for tests.
+//
+// One Jacobi sweep loop serves every entry point. JacobiEigenSymmetric also
+// accumulates the rotations into eigenvectors; SymmetricEigenvalues and
+// SecondLargestEigenvalue (the K*R-times-per-Generate scoring path) skip that
+// work and return the same eigenvalue bits.
 
 #include <vector>
 
@@ -29,7 +34,8 @@ struct EigenDecomposition {
 StatusOr<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
                                                   double symmetry_tol = 1e-9);
 
-// Returns all eigenvalues of symmetric `a` in descending order.
+// Returns all eigenvalues of symmetric `a` in descending order, bit-identical
+// to JacobiEigenSymmetric(a)->eigenvalues without computing eigenvectors.
 StatusOr<std::vector<double>> SymmetricEigenvalues(const Matrix& a);
 
 // Returns the second-largest eigenvalue of symmetric `a` (n >= 2).

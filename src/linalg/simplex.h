@@ -10,7 +10,10 @@
 //          p_{i,m} >= alpha*rho*(d_{i,m}+d_{m,i}) for neighbors  (Eq. 11)
 //          p_{i,m}  = 0 for non-neighbors                        (Eq. 12)
 //          rows of P sum to 1                                    (Eq. 13)
-// These LPs have at most a few hundred variables, so a dense tableau solver
+// Every constraint involves a single row i of P, so the generator solves one
+// LP per row: the variables p_{i,i} and p_{i,m} for i's neighbours, the two
+// equality rows Eq. (10)_i and Eq. (13)_i, and one upper-bound row per
+// variable. At most M variables and M + 2 rows, so a dense tableau solver
 // with Dantzig pricing (falling back to Bland's rule for anti-cycling) is
 // simple and fast enough.
 //

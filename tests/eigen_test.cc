@@ -1,12 +1,14 @@
 #include "linalg/eigen.h"
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/policy.h"
 #include "linalg/matrix.h"
 #include "linalg/vector_ops.h"
 
@@ -138,6 +140,56 @@ TEST(PowerIterationTest, MatchesJacobiOnLargest) {
     if (std::fabs(v) > std::fabs(largest_abs)) largest_abs = v;
   }
   EXPECT_NEAR(std::fabs(pow.value()), std::fabs(largest_abs), 1e-6);
+}
+
+// The values-only path skips the eigenvector accumulation; the rotations of
+// the work matrix never read the vectors, so the eigenvalues must be the same
+// bits as the full decomposition's, on random symmetric matrices and on the
+// Y_P matrices policy generation scores.
+TEST(SymmetricEigenvaluesTest, MatchFullDecompositionBitForBit) {
+  std::vector<Matrix> inputs;
+  Rng rng(11);
+  for (const int n : {1, 2, 3, 7, 16, 33}) {
+    Matrix a(n, n);
+    for (int r = 0; r < n; ++r) {
+      for (int c = r; c < n; ++c) {
+        const double v = rng.Gaussian();
+        a(r, c) = v;
+        a(c, r) = v;
+      }
+    }
+    inputs.push_back(std::move(a));
+  }
+  for (const int n : {4, 9, 16}) {
+    for (const net::Topology& topo :
+         {net::Topology::Complete(n), net::Topology::Ring(n),
+          net::Topology::Hierarchical(n, 4)}) {
+      const std::vector<double> uniform(static_cast<size_t>(n), 1.0 / n);
+      StatusOr<Matrix> y = core::BuildNetMaxY(
+          core::CommunicationPolicy::Uniform(topo), topo, 0.1, 0.5, uniform,
+          /*allow_overshoot=*/true);
+      ASSERT_TRUE(y.ok()) << y.status();
+      inputs.push_back(std::move(y.value()));
+    }
+  }
+  for (const Matrix& a : inputs) {
+    StatusOr<EigenDecomposition> full = JacobiEigenSymmetric(a);
+    StatusOr<std::vector<double>> values = SymmetricEigenvalues(a);
+    ASSERT_TRUE(full.ok()) << full.status();
+    ASSERT_TRUE(values.ok()) << values.status();
+    ASSERT_EQ(values->size(), full->eigenvalues.size());
+    EXPECT_EQ(std::memcmp(values->data(), full->eigenvalues.data(),
+                          values->size() * sizeof(double)),
+              0)
+        << "n = " << a.rows();
+    if (a.rows() >= 2) {
+      StatusOr<double> lambda2 = SecondLargestEigenvalue(a);
+      ASSERT_TRUE(lambda2.ok()) << lambda2.status();
+      EXPECT_EQ(std::memcmp(&lambda2.value(), &full->eigenvalues[1],
+                            sizeof(double)),
+                0);
+    }
+  }
 }
 
 // Property sweep: random symmetric doubly stochastic matrices built as lazy

@@ -5,13 +5,16 @@
 #include "core/policy_generator.h"
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "linalg/eigen.h"
+#include "tests/policy_lp_reference.h"
 
 namespace netmax::core {
 namespace {
@@ -230,6 +233,109 @@ TEST(PolicyGeneratorTest, ParallelInfeasibleMatchesSerialStatus) {
   EXPECT_FALSE(serial.ok());
   EXPECT_FALSE(parallel.ok());
   EXPECT_EQ(serial.status().ToString(), parallel.status().ToString());
+}
+
+// The row-wise LP must reproduce the dense global solve (the oracle in
+// tests/policy_lp_reference.h) exactly: the same feasibility verdict and the
+// same policy bits, on complete, ring and clusters-of-clusters graphs, with
+// heterogeneous and tie-heavy (half-rounded) times, in both modes, at t_bar
+// points inside, on the edge of and outside the Appendix-A interval.
+TEST(PolicyGeneratorTest, RowwiseLpMatchesDenseOracleBitForBit) {
+  int feasible = 0;
+  int infeasible = 0;
+  for (const int n : {5, 8, 12}) {
+    for (const net::Topology& topo :
+         {net::Topology::Complete(n), net::Topology::Ring(n),
+          net::Topology::Hierarchical(n, 4)}) {
+      for (const uint64_t seed : {31ull, 32ull}) {
+        for (const bool tie_heavy : {false, true}) {
+          Rng rng(seed);
+          linalg::Matrix times(n, n, 0.0);
+          for (int i = 0; i < n; ++i) {
+            for (int m = i + 1; m < n; ++m) {
+              double t = rng.Uniform(0.1, 1.0) *
+                         (rng.Bernoulli(0.2) ? rng.Uniform(5.0, 50.0) : 1.0);
+              if (tie_heavy) t = std::max(0.5, std::round(2.0 * t) / 2.0);
+              times(i, m) = t;
+              times(m, i) = t;
+            }
+          }
+          for (const auto mode : {PolicyGeneratorOptions::Mode::kConsensus,
+                                  PolicyGeneratorOptions::Mode::kAveraging}) {
+            PolicyGeneratorOptions options = DefaultOptions();
+            options.mode = mode;
+            PolicyGenerator generator(topo, options);
+            const std::vector<double> rhos =
+                mode == PolicyGeneratorOptions::Mode::kAveraging
+                    ? std::vector<double>{0.0}
+                    : std::vector<double>{1e-3, 0.02, 0.1, 0.5};
+            for (const double rho : rhos) {
+              const auto [lower, upper] =
+                  generator.FeasibleStepTimeInterval(rho, times);
+              std::vector<double> t_bars = {0.5 * lower, lower, 1.5 * upper};
+              for (const double f : {0.25, 0.5, 1.0}) {
+                t_bars.push_back(lower + f * (upper - lower));
+              }
+              for (const double t_bar : t_bars) {
+                SCOPED_TRACE(::testing::Message()
+                             << "n=" << n << " edges=" << topo.num_edges()
+                             << " seed=" << seed << " ties=" << tie_heavy
+                             << " rho=" << rho << " t_bar=" << t_bar);
+                StatusOr<CommunicationPolicy> rows =
+                    generator.SolvePolicyLp(rho, t_bar, times);
+                StatusOr<CommunicationPolicy> dense =
+                    reference::SolvePolicyLpDense(topo, options, rho, t_bar,
+                                                  times);
+                ASSERT_EQ(rows.ok(), dense.ok())
+                    << "rows: " << rows.status() << " dense: "
+                    << dense.status();
+                if (!rows.ok()) {
+                  EXPECT_EQ(rows.status().code(), dense.status().code());
+                  EXPECT_EQ(rows.status().message().rfind("row ", 0), 0u)
+                      << rows.status();
+                  ++infeasible;
+                  continue;
+                }
+                ++feasible;
+                const linalg::Matrix& a = rows->matrix();
+                const linalg::Matrix& b = dense->matrix();
+                ASSERT_EQ(a.data().size(), b.data().size());
+                EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
+                                      a.data().size() * sizeof(double)),
+                          0);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // The sweep must exercise both verdicts.
+  EXPECT_GT(feasible, 100);
+  EXPECT_GT(infeasible, 100);
+}
+
+TEST(PolicyGeneratorTest, InfeasibleRowIsNamedInTheStatus) {
+  // Ring 0-1-2-3-0 with slow links at worker 0. At M * t_bar = 2 rows 0, 1
+  // and 3 can spend that time, but row 2 (both links take 1 s, and its
+  // probabilities sum to 1) cannot.
+  net::Topology topo = net::Topology::Ring(4);
+  linalg::Matrix times(4, 4, 0.0);
+  const auto link = [&](int a, int b, double t) {
+    times(a, b) = t;
+    times(b, a) = t;
+  };
+  link(0, 1, 4.0);
+  link(0, 3, 4.0);
+  link(1, 2, 1.0);
+  link(2, 3, 1.0);
+  PolicyGenerator generator(topo, DefaultOptions());
+  StatusOr<CommunicationPolicy> policy =
+      generator.SolvePolicyLp(0.01, 0.5, times);
+  ASSERT_FALSE(policy.ok());
+  EXPECT_EQ(policy.status().code(), StatusCode::kInfeasible);
+  EXPECT_EQ(policy.status().message().rfind("row 2: ", 0), 0u)
+      << policy.status();
 }
 
 // Property sweep: random iteration-time matrices on complete graphs; every
