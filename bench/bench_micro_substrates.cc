@@ -138,7 +138,7 @@ void BM_EventSimulatorThroughput(benchmark::State& state) {
     net::EventSimulator sim;
     int64_t count = 0;
     std::function<void()> tick = [&] {
-      if (++count < 10000) sim.ScheduleAfter(1.0, tick);
+      if (++count < 10000) sim.ScheduleAt(sim.Now() + 1.0, tick);
     };
     sim.ScheduleAt(0.0, tick);
     sim.RunUntilIdle();

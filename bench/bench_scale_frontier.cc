@@ -72,8 +72,8 @@ struct TickContext {
 
 void TickStep(TickContext* ctx, int worker) {
   net::EventSimulator& sim = *ctx->sim;
-  sim.ScheduleAfter(ctx->periods[static_cast<size_t>(worker)],
-                    [ctx, worker] { TickStep(ctx, worker); });
+  sim.ScheduleAt(sim.Now() + ctx->periods[static_cast<size_t>(worker)],
+                 [ctx, worker] { TickStep(ctx, worker); });
 }
 
 struct FrontierCell {
@@ -225,7 +225,8 @@ void GossipStep(GossipContext* ctx, int worker) {
   ++ctx->next_neighbor[w];
   const double transfer = ctx->links->TransferSeconds(
       worker, peer, ctx->sim->Now(), ctx->payload_bytes);
-  ctx->sim->ScheduleAfter(transfer, [ctx, worker] { GossipStep(ctx, worker); });
+  ctx->sim->ScheduleAt(ctx->sim->Now() + transfer,
+                       [ctx, worker] { GossipStep(ctx, worker); });
 }
 
 struct GossipResult {

@@ -78,7 +78,7 @@ constexpr RemovedOption kRemovedOptions[] = {
 Status RemovedOptionError(std::string_view name) {
   return InvalidArgumentError(
       std::string(name) +
-      " was removed: the execution backend follows from --threads "
+      " was removed: the dispatch path follows from --threads "
       "(1 = serial, more = speculative)");
 }
 

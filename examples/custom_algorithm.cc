@@ -60,8 +60,8 @@ class LazyGossipAlgorithm : public core::TrainingAlgorithm {
     // communicating — so the compute half stays pure.
     harness.SampleBatch(w);
     if (!communicate) {
-      harness.sim().ScheduleComputeAfter(
-          compute, w,
+      harness.sim().ScheduleCompute(
+          harness.sim().Now() + compute, w,
           [&harness, w] { return harness.EvalBatchGradient(w); },
           [&harness, w, compute, this](double loss) {
             harness.CommitBatchStats(w, loss);
@@ -77,8 +77,9 @@ class LazyGossipAlgorithm : public core::TrainingAlgorithm {
     const int m = neighbors[static_cast<size_t>(
         worker.rng.UniformInt(0, static_cast<int64_t>(neighbors.size()) - 1))];
     const double wall = std::max(compute, harness.PullSeconds(m, w));
-    harness.sim().ScheduleComputeAfter(
-        wall, w, [&harness, w] { return harness.EvalBatchGradient(w); },
+    harness.sim().ScheduleCompute(
+        harness.sim().Now() + wall, w,
+        [&harness, w] { return harness.EvalBatchGradient(w); },
         [&harness, w, m, compute, wall, this](double loss) {
           harness.CommitBatchStats(w, loss);
           harness.ApplyStoredGradient(w);

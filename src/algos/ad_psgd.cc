@@ -82,11 +82,15 @@ class AdPsgdEngine {
       case kIterate: {
         const int w = event.worker_key;
         if (w < 0 || w >= harness_.num_workers() || args.size() != 4) break;
-        const int m = static_cast<int>(args[0]);
+        int m = 0;
+        int64_t round = 0;
+        if (!net::DecodeIntArg(args[0], 0, harness_.num_workers() - 1, &m) ||
+            m == w ||
+            !net::DecodeIntArg(args[3], 0, net::kMaxExactIntArg, &round)) {
+          break;
+        }
         const double compute = args[1];
         const double wall = args[2];
-        const int64_t round = static_cast<int64_t>(args[3]);
-        if (m < 0 || m >= harness_.num_workers() || m == w) break;
         rebuilt.compute = [this, w] { return harness_.EvalBatchGradient(w); };
         rebuilt.commit = [this, w, m, compute, wall, round](double loss) {
           CompleteIteration(w, m, compute, wall, round, loss);
@@ -170,7 +174,7 @@ class AdPsgdEngine {
     // monitor EMA sample — no successful communication to measure).
     if (harness_.PullLost(w, m, compute, wall)) return;
     // Both endpoints' parameters are written below: notify before either
-    // write so any evaluation the backend ran ahead (m's is usually
+    // write so any evaluation the simulator ran ahead (m's is usually
     // speculated) is invalidated and re-dispatched.
     harness_.sim().NotifyStateWrite(w);
     harness_.sim().NotifyStateWrite(m);

@@ -124,7 +124,7 @@ class AllreduceEngine {
     // member replica (dead/dropped workers keep their stale parameters).
     // All of this round's compute events committed before the last member's
     // commit reached here and the next round is not scheduled yet, so no
-    // backend holds an evaluation that could read these writes mid-flight;
+    // speculation holds an evaluation that could read these writes mid-flight;
     // ApplyStoredGradient still notifies each worker per the contract.
     if (harness_.compression_enabled() && g > 1) {
       // Each member contributes C(g_w) to the reduce — the gradient as the

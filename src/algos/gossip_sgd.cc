@@ -72,9 +72,12 @@ class GossipEngine {
       case kArrival: {
         const size_t num_params = harness_.worker(0).gradient.size();
         if (event.worker_key >= 0 || args.size() != 2 + num_params) break;
-        const int m = static_cast<int>(args[0]);
-        const int64_t round = static_cast<int64_t>(args[1]);
-        if (m < 0 || m >= harness_.num_workers()) break;
+        int m = 0;
+        int64_t round = 0;
+        if (!net::DecodeIntArg(args[0], 0, harness_.num_workers() - 1, &m) ||
+            !net::DecodeIntArg(args[1], 0, net::kMaxExactIntArg, &round)) {
+          break;
+        }
         rebuilt.plain = [this, m, round,
                          snapshot = std::vector<double>(args.begin() + 2,
                                                         args.end())] {
@@ -84,7 +87,7 @@ class GossipEngine {
             return;
           }
           // Arrival writes the receiver's parameters — invalidate whatever
-          // the backend ran ahead for m (an in-flight evaluation is waited
+          // the simulator ran ahead for m (an in-flight evaluation is waited
           // out first).
           harness_.sim().NotifyStateWrite(m);
           auto x_m = harness_.worker(m).model->parameters();

@@ -222,7 +222,7 @@ class PsSyncEngine {
       const int w = members_[static_cast<size_t>(k)];
       // Round-structured like allreduce: nothing is pending, but the
       // download writes every replica, so notify per the contract (a later
-      // backend that pre-dispatches the next round would depend on it).
+      // dispatch path that pre-dispatches the next round would rely on it).
       harness_.sim().NotifyStateWrite(w);
       auto params = harness_.worker(w).model->parameters();
       if (!harness_.compression_enabled()) {
@@ -348,9 +348,12 @@ class PsAsyncEngine {
       }
       case kUpload: {
         if (event.worker_key >= 0 || args.size() != 2) break;
-        const int w = static_cast<int>(args[0]);
-        const int64_t round = static_cast<int64_t>(args[1]);
-        if (w < 0 || w >= n) break;
+        int w = 0;
+        int64_t round = 0;
+        if (!net::DecodeIntArg(args[0], 0, n - 1, &w) ||
+            !net::DecodeIntArg(args[1], 0, net::kMaxExactIntArg, &round)) {
+          break;
+        }
         rebuilt.plain = [this, w, round] {
           // Async SGD: apply this worker's gradient immediately. The PS
           // received C(g_w); the decode happens in place (the buffer is
@@ -367,16 +370,19 @@ class PsAsyncEngine {
       }
       case kDownload: {
         if (event.worker_key >= 0 || args.size() != 4) break;
-        const int w = static_cast<int>(args[0]);
-        if (w < 0 || w >= n) break;
+        int w = 0;
+        int64_t round = 0;
+        if (!net::DecodeIntArg(args[0], 0, n - 1, &w) ||
+            !net::DecodeIntArg(args[3], 0, net::kMaxExactIntArg, &round)) {
+          break;
+        }
         const double t0 = args[1];
         const double compute = args[2];
-        const int64_t round = static_cast<int64_t>(args[3]);
         rebuilt.plain = [this, w, t0, compute, round] {
           // The download overwrites w's replica. w's own next compute is
           // only scheduled below, but OTHER workers' in-flight speculated
           // evaluations never read w's parameters, so notifying w alone
-          // satisfies the write contract under every backend.
+          // satisfies the write contract on either dispatch path.
           harness_.sim().NotifyStateWrite(w);
           const auto fresh = ps_->model().parameters();
           auto params = harness_.worker(w).model->parameters();

@@ -107,9 +107,9 @@ class PragueEngine {
         std::vector<int> group;
         group.reserve(args.size() - 1);
         bool valid = true;
-        for (size_t i = 1; i < args.size(); ++i) {
-          const int w = static_cast<int>(args[i]);
-          if (w < 0 || w >= n) valid = false;
+        for (size_t i = 1; i < args.size() && valid; ++i) {
+          int w = 0;
+          valid = net::DecodeIntArg(args[i], 0, n - 1, &w);
           group.push_back(w);
         }
         if (!valid) break;
@@ -121,8 +121,8 @@ class PragueEngine {
       }
       case kReadyTimeout: {
         if (event.worker_key >= 0 || args.size() != 2) break;
-        const int w = static_cast<int>(args[0]);
-        if (w < 0 || w >= n) break;
+        int w = 0;
+        if (!net::DecodeIntArg(args[0], 0, n - 1, &w)) break;
         const double since = args[1];
         rebuilt.plain = [this, w, since] { ReadyTimeout(w, since); };
         return rebuilt;
@@ -251,7 +251,7 @@ class PragueEngine {
     const std::vector<double> mean = linalg::Mean(params);
     for (int w : group) {
       // Group members are idle (their next compute event is scheduled only in
-      // FinishGroupMember), so no backend can hold an evaluation for them
+      // FinishGroupMember), so the simulator holds no evaluation for them
       // here; notify anyway: the write contract is cheap and
       // engine-evolution-proof.
       harness_.sim().NotifyStateWrite(w);

@@ -125,11 +125,14 @@ class SapsEngine {
       case kIterate: {
         const int w = event.worker_key;
         if (w < 0 || w >= n || args.size() != 4) break;
-        const int m = static_cast<int>(args[0]);
+        int m = 0;
+        int64_t round = 0;
+        if (!net::DecodeIntArg(args[0], 0, n - 1, &m) || m == w ||
+            !net::DecodeIntArg(args[3], 0, net::kMaxExactIntArg, &round)) {
+          break;
+        }
         const double compute = args[1];
         const double wall = args[2];
-        const int64_t round = static_cast<int64_t>(args[3]);
-        if (m < 0 || m >= n || m == w) break;
         rebuilt.compute = [this, w] { return harness_.EvalBatchGradient(w); };
         rebuilt.commit = [this, w, m, compute, wall, round](double loss) {
           CompleteIteration(w, m, compute, wall, round, loss);
@@ -150,7 +153,7 @@ class SapsEngine {
     if (harness_.PullLost(w, m, compute, wall)) return;
     // One-sided averaging writes only the puller's parameters (m is
     // read-only here, and compute halves only read their own worker's
-    // parameters, so no notify is needed for m under any backend).
+    // parameters, so no notify is needed for m on either dispatch path).
     harness_.sim().NotifyStateWrite(w);
     auto x_i = wr.model->parameters();
     const auto x_m = harness_.worker(m).model->parameters();

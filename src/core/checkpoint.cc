@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <utility>
 
 #include "core/experiment.h"
@@ -180,17 +182,23 @@ StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
       if (args.size() != 4) {
         return InvalidArgumentError("harness fault event needs 4 args");
       }
-      const int kind_index = static_cast<int>(args[0]);
-      if (kind_index < 0 ||
-          kind_index > static_cast<int>(net::FaultKind::kSlowdown)) {
-        return InvalidArgumentError("harness fault event has an unknown kind");
-      }
+      // Decode to any int, then hold the event to the same rule a --faults
+      // entry meets (kind, worker range, factor, duration).
+      constexpr int kMinInt = std::numeric_limits<int>::min();
+      constexpr int kMaxInt = std::numeric_limits<int>::max();
+      int kind_index = 0;
       net::FaultEvent fault;
+      if (!net::DecodeIntArg(args[0], kMinInt, kMaxInt, &kind_index) ||
+          !net::DecodeIntArg(args[1], kMinInt, kMaxInt, &fault.worker)) {
+        return InvalidArgumentError(
+            "harness fault event has a non-integral kind or worker");
+      }
       fault.time = saved.time;
       fault.kind = static_cast<net::FaultKind>(kind_index);
-      fault.worker = static_cast<int>(args[1]);
       fault.factor = args[2];
       fault.duration = args[3];
+      NETMAX_RETURN_IF_ERROR(net::ValidateFaultEvent(
+          fault, config_.num_workers, "restored harness fault event"));
       rebuilt.plain = [this, fault] { ApplyFault(fault); };
       return rebuilt;
     }
@@ -198,8 +206,13 @@ StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
       if (args.size() != 2) {
         return InvalidArgumentError("harness slowdown-end event needs 2 args");
       }
-      const int worker = static_cast<int>(args[0]);
+      int worker = 0;
       const double factor = args[1];
+      if (!net::DecodeIntArg(args[0], 0, config_.num_workers - 1, &worker) ||
+          !std::isfinite(factor) || factor <= 0.0) {
+        return InvalidArgumentError(
+            "harness slowdown-end event has a bad worker or factor");
+      }
       rebuilt.plain = [this, worker, factor] { EndSlowdown(worker, factor); };
       return rebuilt;
     }
@@ -207,7 +220,10 @@ StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
       if (args.size() != 1) {
         return InvalidArgumentError("harness cadence event needs 1 arg");
       }
-      const int64_t tick_index = static_cast<int64_t>(args[0]);
+      int64_t tick_index = 0;
+      if (!net::DecodeIntArg(args[0], 0, net::kMaxExactIntArg, &tick_index)) {
+        return InvalidArgumentError("harness cadence event has a bad index");
+      }
       rebuilt.plain = [this, tick_index] { CadenceTick(tick_index); };
       return rebuilt;
     }
@@ -226,10 +242,11 @@ StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
           hooks_.pull == nullptr) {
         return InvalidArgumentError("malformed harness peer-wait event");
       }
-      const int w = static_cast<int>(args[0]);
-      const int m = static_cast<int>(args[1]);
       const int n = config_.num_workers;
-      if (w < 0 || w >= n || m < 0 || m >= n || m == w) {
+      int w = 0;
+      int m = 0;
+      if (!net::DecodeIntArg(args[0], 0, n - 1, &w) ||
+          !net::DecodeIntArg(args[1], 0, n - 1, &m) || m == w) {
         return InvalidArgumentError("harness peer-wait event out of range");
       }
       if (wait) {
@@ -287,17 +304,16 @@ void ExperimentHarness::EmitAt(double time, int worker_key,
   StatusOr<net::RebuiltEvent> rebuilt = BuildEvent(saved);
   NETMAX_CHECK_OK(rebuilt.status());
   if (worker_key < 0) {
-    sim_.ScheduleAt(time, std::move(saved.payload), std::move(rebuilt->plain));
+    sim_.ScheduleAt(time, std::move(rebuilt->plain), std::move(saved.payload));
   } else {
-    sim_.ScheduleCompute(time, worker_key, std::move(saved.payload),
-                         std::move(rebuilt->compute),
-                         std::move(rebuilt->commit));
+    sim_.ScheduleCompute(time, worker_key, std::move(rebuilt->compute),
+                         std::move(rebuilt->commit), std::move(saved.payload));
   }
 }
 
 StatusOr<std::vector<uint8_t>> ExperimentHarness::SerializeCheckpoint() {
   // Quiesce: invalidate every speculated compute evaluation so all state
-  // below is at its committed value. The backend re-dispatches the
+  // below is at its committed value. The simulator re-dispatches the
   // invalidated evaluations after this handler returns; compute halves are
   // pure, so the re-evaluations reproduce the same bits and the run
   // continues unperturbed.
@@ -336,8 +352,8 @@ StatusOr<std::vector<uint8_t>> ExperimentHarness::SerializeCheckpoint() {
   std::erase_if(events, [](const net::SavedEvent& event) {
     return event.payload.tag == kHarnessFaultTag &&
            !event.payload.args.empty() &&
-           static_cast<int>(event.payload.args[0]) ==
-               static_cast<int>(net::FaultKind::kCrash);
+           event.payload.args[0] ==
+               static_cast<double>(net::FaultKind::kCrash);
   });
   out.WriteU64(events.size());
   for (const net::SavedEvent& event : events) {
@@ -491,6 +507,9 @@ Status ExperimentHarness::Restore() {
   NETMAX_ASSIGN_OR_RETURN(const double now, in.ReadDouble());
   NETMAX_ASSIGN_OR_RETURN(const int64_t next_sequence, in.ReadI64());
   NETMAX_ASSIGN_OR_RETURN(const int64_t processed, in.ReadI64());
+  if (!std::isfinite(now) || now < 0.0) {
+    return InvalidArgumentError("checkpointed clock is not a finite time");
+  }
   NETMAX_ASSIGN_OR_RETURN(const uint64_t event_count, in.ReadU64());
   // Each event is at least five 8-byte words (time, sequence, worker key,
   // tag, argument count).

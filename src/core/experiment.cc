@@ -4,7 +4,6 @@
 #include <cmath>
 #include <thread>
 
-#include "core/execution_backend.h"
 #include "core/monitor.h"
 #include "linalg/vector_ops.h"
 #include "ml/mlp.h"
@@ -164,12 +163,11 @@ Status ExperimentHarness::Init() {
     threads_ = hw == 0 ? 1 : static_cast<int>(hw);
   }
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_ - 1);
-  // Execution backend: how compute halves overlap the ordered commit drain.
-  // Speculative with a pool, serial without; either way the result bits are
-  // identical (core/execution_backend.h).
-  backend_ = MakeExecutionBackend(pool_.get());
-  sim_.set_backend(backend_.get());
-  // Event-queue implementation (net/event_queue.h): like the backend, a pure
+  // With a pool the simulator speculates compute halves on it, without one
+  // it runs every event inline; either way the result bits are identical
+  // (net/event_sim.h).
+  sim_.set_pool(pool_.get());
+  // Event-queue implementation (net/event_queue.h): like the pool, a pure
   // execution choice — every kind pops the identical (time, sequence) stream.
   sim_.ReplaceQueue(net::MakeEventQueue(config_.event_queue));
   // Intra-worker sharding bound: auto (0) shards only the cores left over
@@ -503,7 +501,7 @@ void ExperimentHarness::EndSlowdown(int worker, double factor) {
   // Inverse of the multiply in ApplyFault. For non-overlapping slowdowns the
   // factor goes 1.0 -> f -> f/f == 1.0 bit-exactly, so an elapsed slowdown
   // leaves no residue; overlapping same-worker slowdowns may leave rounding
-  // residue, deterministically (the same bits on every backend).
+  // residue, deterministically (the same bits on either dispatch path).
   compute_factor_[static_cast<size_t>(worker)] /= factor;
 }
 
@@ -696,7 +694,7 @@ RunResult ExperimentHarness::Finalize() {
   if (hooks_.monitor != nullptr) {
     result.policies_generated = hooks_.monitor->policies_generated();
   }
-  result.backend = std::string(backend_->name());
+  result.backend = pool_ != nullptr ? "speculative" : "serial";
   result.event_queue = std::string(sim_.queue_name());
   const net::ExecutionStats stats = sim_.execution_stats();
   result.parallel_batches = stats.parallel_batches;

@@ -189,9 +189,9 @@ struct ExperimentConfig {
   // and tree reduction (ml/sharding.h), so RunResult is bit-identical across
   // the whole {threads, shards} grid.
   int shards = 0;
-  // The execution backend follows from `threads` (core/execution_backend.h):
-  // a pooled run (threads > 1) speculates compute halves on the pool, a
-  // threads == 1 run dispatches serially. Either way RunResult is
+  // `threads` also picks how the simulator evaluates compute halves
+  // (net/event_sim.h): a pooled run (threads > 1) speculates them on the
+  // pool, a threads == 1 run dispatches serially. Either way RunResult is
   // bit-identical.
   //
   // Priority-queue implementation behind the simulator (net/event_queue.h).
@@ -288,9 +288,9 @@ struct RunResult {
   double consensus_distance = 0.0;
   // NetMax diagnostics: number of policies the monitor produced.
   int64_t policies_generated = 0;
-  // Execution-backend diagnostics (all zero on the serial threads=1 path;
-  // excluded from the bit-identity contract, which covers simulation outputs
-  // only): the backend that ran the simulation ("serial" or "speculative"),
+  // Execution diagnostics (all zero on the serial threads=1 path; excluded
+  // from the bit-identity contract, which covers simulation outputs only):
+  // the dispatch path that ran the simulation ("serial" or "speculative"),
   // frontier batches dispatched, compute halves evaluated ahead of their
   // turn, invalidated evaluations re-dispatched onto the pool, and the
   // defensive inline recomputes (expected zero).
@@ -302,7 +302,7 @@ struct RunResult {
   int64_t computes_speculated = 0;
   int64_t computes_redispatched = 0;
   int64_t computes_recomputed = 0;
-  // Always zero: no backend has a reorder window to stall on. Kept only
+  // Always zero: no dispatch path has a reorder window to stall on. Kept only
   // while the perfbench metric core.backend.window_stalls still reads it.
   int64_t window_stalls = 0;
   // Fault-injection diagnostics (all zero on fault-free runs; part of the
@@ -703,11 +703,9 @@ class ExperimentHarness {
 
   int threads_ = 1;
   int shards_ = 1;
-  std::unique_ptr<ThreadPool> pool_;  // created by Init when threads_ > 1
-  // Execution strategy for sim_'s compute halves; owned here, borrowed by
-  // the simulator (declared before sim_ only for grouping — the simulator
-  // never touches the backend after RunUntilIdle returns).
-  std::unique_ptr<net::ExecutionBackend> backend_;
+  // Created by Init when threads_ > 1; borrowed by sim_ (declared after the
+  // pool, so destroyed before it).
+  std::unique_ptr<ThreadPool> pool_;
   net::EventSimulator sim_;
   std::unique_ptr<net::Topology> topology_;
   std::unique_ptr<net::LinkModel> links_;

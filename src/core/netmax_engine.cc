@@ -94,11 +94,14 @@ class NetMaxEngine {
       case kPull: {
         const int w = event.worker_key;
         if (w < 0 || w >= n || args.size() != 4) break;
-        const int m = static_cast<int>(args[0]);
+        int m = 0;
+        int64_t round = 0;
+        if (!net::DecodeIntArg(args[0], 0, n - 1, &m) || m == w ||
+            !net::DecodeIntArg(args[3], 0, net::kMaxExactIntArg, &round)) {
+          break;
+        }
         const double compute = args[1];
         const double wall = args[2];
-        const int64_t round = static_cast<int64_t>(args[3]);
-        if (m < 0 || m >= n || m == w) break;
         rebuilt.compute = [this, w] { return harness_.EvalBatchGradient(w); };
         rebuilt.commit = [this, w, m, compute, wall, round](double loss) {
           CompleteIteration(w, m, compute, wall, round, loss);
@@ -191,7 +194,7 @@ class NetMaxEngine {
         config_.symmetric_consensus ? 0.5 : kMaxConsensusCoefficient,
         config_.learning_rate * rho_ / p);
     // The consensus step writes both endpoints' parameters: invalidate any
-    // evaluation the backend ran ahead for them (m usually has a pending
+    // evaluation the simulator ran ahead for them (m usually has a pending
     // compute event; a second-pass re-dispatch of it may still be running,
     // and the notify blocks until it is safe to write).
     harness_.sim().NotifyStateWrite(w);

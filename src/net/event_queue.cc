@@ -287,6 +287,24 @@ class CalendarEventQueue final : public EventQueue {
 
 }  // namespace
 
+bool DecodeIntArg(double value, int64_t lo, int64_t hi, int64_t* out) {
+  NETMAX_CHECK(-kMaxExactIntArg <= lo && lo <= hi && hi <= kMaxExactIntArg);
+  // NaN fails every comparison, so `!(lo <= value)` rejects it too.
+  if (!(static_cast<double>(lo) <= value && value <= static_cast<double>(hi)) ||
+      value != std::trunc(value)) {
+    return false;
+  }
+  *out = static_cast<int64_t>(value);
+  return true;
+}
+
+bool DecodeIntArg(double value, int lo, int hi, int* out) {
+  int64_t decoded = 0;
+  if (!DecodeIntArg(value, int64_t{lo}, int64_t{hi}, &decoded)) return false;
+  *out = static_cast<int>(decoded);
+  return true;
+}
+
 StatusOr<EventQueueKind> ParseEventQueueKind(std::string_view text) {
   if (text == "vector") return EventQueueKind::kSortedVector;
   if (text == "calendar") return EventQueueKind::kCalendar;

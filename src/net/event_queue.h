@@ -53,6 +53,18 @@ struct EventPayload {
   std::vector<double> args;
 };
 
+// Largest magnitude an integer event arg can hold exactly (ints ride in the
+// doubles of EventPayload::args).
+inline constexpr int64_t kMaxExactIntArg = int64_t{1} << 53;
+
+// Decodes an integer event arg of a restored (untrusted) payload: false, with
+// *out untouched, unless `value` is finite, integral and in [lo, hi]. The
+// check runs before any cast, so NaN and huge values never reach the
+// undefined double-to-integer conversion. Requires
+// -kMaxExactIntArg <= lo <= hi <= kMaxExactIntArg.
+bool DecodeIntArg(double value, int64_t lo, int64_t hi, int64_t* out);
+bool DecodeIntArg(double value, int lo, int hi, int* out);
+
 inline constexpr int kNoWorkerKey = -1;
 
 // One pending simulator event. The closures are inline-storage SmallFns:

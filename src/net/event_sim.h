@@ -1,8 +1,8 @@
 #ifndef NETMAX_NET_EVENT_SIM_H_
 #define NETMAX_NET_EVENT_SIM_H_
 
-// Deterministic discrete-event simulator with a virtual clock, a two-phase
-// compute/commit event model, and a pluggable execution backend.
+// Deterministic discrete-event simulator with a virtual clock and a
+// two-phase compute/commit event model.
 //
 // All decentralized-training algorithms in this repo run inside this
 // simulator: compute and communication delays are scheduled as events, so
@@ -12,8 +12,8 @@
 //
 // Events come in two kinds:
 //
-//  * Plain events (ScheduleAt/ScheduleAfter): an opaque callback, always run
-//    on the simulator thread in (time, sequence) order.
+//  * Plain events (ScheduleAt): an opaque callback, always run on the
+//    simulator thread in (time, sequence) order.
 //  * Compute events (ScheduleCompute): a pure `compute` half paired with a
 //    `commit` half. The compute half may touch ONLY the state owned by its
 //    `worker_key` (model parameters read-only, gradient/workspace scratch
@@ -24,23 +24,26 @@
 //    draws, parameter updates, and scheduling of follow-up events belong
 //    there.
 //
-// The simulator owns the queue and the ordering contract only. HOW compute
-// halves are evaluated relative to the strictly ordered commit drain is an
-// ExecutionBackend decision (set_backend): run them inline at their turn
-// (serial), or speculate frontier batches of distinct-worker events on a
-// ThreadPool behind a barrier (speculative). Concrete backends live in
-// core/execution_backend.h; with no backend attached the simulator
-// dispatches fully serially.
+// How compute halves are evaluated is an execution detail, decided by the
+// pool handed to set_pool:
 //
-// Every backend preserves the same soundness contract, so results are
-// bit-identical across all of them: any callback or commit that writes state
-// some compute half might read MUST call NotifyStateWrite(worker_key) for the
-// owning key BEFORE performing the write. The simulator forwards the call to
-// the backend, which discards (and later re-dispatches) any compute result it
-// evaluated against the pre-write state, first waiting out an in-flight
-// evaluation so the caller's write cannot race its reads.
+//  * No pool (the default, threads == 1): every event runs inline at its
+//    turn. The reference semantics.
+//  * A pool: RunUntilIdle scans the longest prefix of pending compute events
+//    with pairwise-distinct worker keys (the frontier), evaluates it on the
+//    pool behind a barrier, then drains the batch in (time, sequence) order.
+//    A speculation invalidated by an earlier commit is re-dispatched onto
+//    the pool once the invalidating handler returns (the second pass); a
+//    halt discards every uncommitted speculation.
 //
-// One asymmetry to respect: a dispatched compute half's scratch writes (the
+// Both paths are bit-identical under one soundness contract: any callback or
+// commit that writes state some compute half might read MUST call
+// NotifyStateWrite(worker_key) for the owning key BEFORE performing the
+// write. The pooled path then discards (and later re-dispatches) any compute
+// result it evaluated against the pre-write state, first waiting out an
+// in-flight evaluation so the caller's write cannot race its reads.
+//
+// One asymmetry to respect: a speculated compute half's scratch writes (the
 // worker's gradient buffer, workspace) may land before earlier-ordered events
 // run. While a worker has a compute event pending, no OTHER event may read
 // that worker's scratch — only the paired commit (and events it schedules
@@ -51,17 +54,22 @@
 
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
 #include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/status.h"
 #include "net/event_queue.h"
 
-namespace netmax::net {
+namespace netmax {
+class ThreadPool;
+}  // namespace netmax
 
-class ExecutionBackend;
+namespace netmax::net {
 
 // --- Checkpointable event descriptions --------------------------------------
 //
@@ -94,10 +102,10 @@ struct RebuiltEvent {
 // or malformed args (a corrupted or version-skewed checkpoint).
 using EventRebuilder = std::function<StatusOr<RebuiltEvent>(const SavedEvent&)>;
 
-// Diagnostics every backend reports (all zero on the serial path). Excluded
-// from the bit-identity contract, which covers simulation outputs only.
+// Diagnostics of the pooled path (all zero without a pool). Excluded from the
+// bit-identity contract, which covers simulation outputs only.
 struct ExecutionStats {
-  // Dispatch bursts that put at least two compute halves in flight.
+  // Frontier batches that put at least two compute halves in flight.
   int64_t parallel_batches = 0;
   // Compute halves evaluated ahead of their turn (frontier members).
   int64_t computes_speculated = 0;
@@ -105,9 +113,9 @@ struct ExecutionStats {
   // invalidating handler returned (double invalidations re-count).
   int64_t computes_redispatched = 0;
   // Inline recomputes of an invalidated speculation on the simulator thread —
-  // a defensive fallback that is unreachable in the current backends (every
-  // invalidated in-flight speculation gets a re-dispatch entry), asserted to
-  // stay zero by the determinism tests.
+  // a defensive fallback that is unreachable (every invalidated in-flight
+  // speculation gets a re-dispatch entry), asserted to stay zero by the
+  // determinism tests.
   int64_t computes_recomputed = 0;
 };
 
@@ -128,52 +136,38 @@ class EventSimulator {
   // Current virtual time in seconds.
   double Now() const { return now_; }
 
-  // Schedules `callback` at absolute virtual time `time` (>= Now()).
-  void ScheduleAt(double time, Callback callback);
-
-  // Schedules `callback` `delay` seconds from now (delay >= 0).
-  void ScheduleAfter(double delay, Callback callback);
+  // Schedules `callback` at absolute virtual time `time` (>= Now()). A
+  // relative delay is `Now() + delay`. `payload` is the event's
+  // checkpointable description (see EventPayload above); engines that
+  // support checkpoint/restore tag every event, and SaveQueue refuses an
+  // untagged one.
+  void ScheduleAt(double time, Callback callback, EventPayload payload = {});
 
   // Schedules a two-phase compute/commit event at absolute virtual time
   // `time` (>= Now()). `worker_key` (>= 0) names the state partition the
-  // compute half touches; backends never evaluate two compute halves with the
-  // same key concurrently, so adversarial same-key interleavings degrade to
+  // compute half touches; two compute halves with the same key are never
+  // evaluated concurrently, so adversarial same-key interleavings degrade to
   // serial order instead of racing.
   void ScheduleCompute(double time, int worker_key, ComputeFn compute,
-                       CommitFn commit);
-
-  // Relative-time convenience (delay >= 0).
-  void ScheduleComputeAfter(double delay, int worker_key, ComputeFn compute,
-                            CommitFn commit);
-
-  // Tagged variants: identical scheduling semantics, but the event also
-  // carries a checkpointable description (see EventPayload above). Engines
-  // that support checkpoint/restore schedule exclusively through these.
-  void ScheduleAt(double time, EventPayload payload, Callback callback);
-  void ScheduleAfter(double delay, EventPayload payload, Callback callback);
-  void ScheduleCompute(double time, int worker_key, EventPayload payload,
-                       ComputeFn compute, CommitFn commit);
-  void ScheduleComputeAfter(double delay, int worker_key, EventPayload payload,
-                            ComputeFn compute, CommitFn commit);
+                       CommitFn commit, EventPayload payload = {});
 
   // Declares that the caller (an event callback or commit half) is ABOUT to
   // write state owned by `worker_key` that a compute half may read — model
-  // parameters, chiefly; the call must precede the write. Forwarded to the
-  // attached backend, which invalidates any not-yet-committed evaluation for
-  // that key (re-dispatching it onto the pool after the current handler
-  // returns) and blocks until an in-flight evaluation finishes so the
-  // caller's write cannot race its reads. Redundant calls (own key, keys
-  // without pending computes) are harmless; forgetting a call breaks parallel
-  // determinism, so write sites should over- rather than under-notify. A
-  // no-op without a backend (serial dispatch needs no write tracking).
+  // parameters, chiefly; the call must precede the write. On the pooled path
+  // it invalidates any not-yet-committed evaluation for that key
+  // (re-dispatching it onto the pool after the current handler returns) and
+  // blocks until an in-flight evaluation finishes so the caller's write
+  // cannot race its reads. Redundant calls (own key, keys without pending
+  // computes) are harmless; forgetting a call breaks parallel determinism,
+  // so write sites should over- rather than under-notify. A no-op without a
+  // speculation batch in flight (always, without a pool).
   void NotifyStateWrite(int worker_key);
 
-  // Attaches the execution backend RunUntilIdle delegates to; nullptr
-  // (default) keeps the built-in fully serial dispatch. The backend is
-  // borrowed, not owned, must outlive the simulator (or be detached first),
-  // and must not be swapped while a run is in progress.
-  void set_backend(ExecutionBackend* backend) { backend_ = backend; }
-  ExecutionBackend* backend() const { return backend_; }
+  // Hands RunUntilIdle a pool to speculate compute halves on; nullptr (the
+  // default) keeps every event inline. The pool is borrowed, must outlive
+  // the simulator's runs, and must not be swapped while a run is in
+  // progress.
+  void set_pool(ThreadPool* pool) { pool_ = pool; }
 
   // Swaps in a different priority-queue implementation (see event_queue.h).
   // Queue choice never changes simulation output — the (time, sequence)
@@ -183,18 +177,13 @@ class EventSimulator {
   EventQueueKind queue_kind() const { return queue_->kind(); }
   std::string_view queue_name() const { return queue_->name(); }
 
-  // Pops and runs the earliest event fully serially (compute half inline on
-  // this thread, then commit). Returns false when no events remain. Bypasses
-  // the backend: callers driving the queue by hand get serial semantics.
+  // Pops and runs the earliest event inline (compute half on this thread,
+  // then commit). Returns false when no events remain. Callers driving the
+  // queue by hand get serial semantics.
   bool Step();
 
-  // Runs events until the queue is empty or the next event is later than
-  // `time_limit`; advances Now() to min(time of last event, time_limit).
-  // Returns the number of events processed. Always serial dispatch.
-  int64_t RunUntil(double time_limit);
-
-  // Runs until no events remain, through the attached backend (serially when
-  // none is attached). Returns the number of events processed.
+  // Runs until no events remain — speculating on the pool when one is set —
+  // and returns the number of events processed.
   int64_t RunUntilIdle();
 
   bool empty() const { return queue_->empty(); }
@@ -204,25 +193,20 @@ class EventSimulator {
   // --- halt (crash faults) -------------------------------------------------
 
   // Requests that the run stop at the current virtual time: the event whose
-  // handler calls this is the last one applied. RunUntilIdle (both the serial
-  // path and every backend) checks the flag after each handler, discards all
-  // pending events, and returns; the clock stays at the halting event's time.
-  // Deterministic by construction — the halting event has a fixed
-  // (time, sequence) position, so every backend stops after the exact same
-  // prefix of commits.
+  // handler calls this is the last one applied. RunUntilIdle checks the flag
+  // after each handler, discards every uncommitted speculation and all
+  // pending events, and returns; the clock stays at the halting event's
+  // time. Deterministic by construction — the halting event has a fixed
+  // (time, sequence) position, so serial and pooled runs stop after the
+  // exact same prefix of commits.
   void RequestHalt() { halt_requested_ = true; }
-  bool halt_requested() const { return halt_requested_; }
-
-  // Drops every pending event (halt path; backends must have discarded their
-  // in-flight evaluations first — see ExecutionBackend::OnHalt).
-  void ClearQueue() { queue_->Clear(); }
 
   // --- checkpoint support --------------------------------------------------
 
   // Snapshots the pending queue in dispatch order. Fails with
   // kFailedPrecondition if any pending event is untagged — the caller (an
-  // engine that opted into checkpointing) scheduled an event outside the
-  // tagged overloads.
+  // engine that opted into checkpointing) scheduled an event without a
+  // payload.
   StatusOr<std::vector<SavedEvent>> SaveQueue() const;
 
   // Repopulates an EMPTY queue from `events`, mapping each through
@@ -237,62 +221,43 @@ class EventSimulator {
   // Restores the clock and counters saved alongside the queue.
   void RestoreClock(double now, int64_t next_sequence, int64_t processed);
 
-  // Backend diagnostics (all zero without a backend). The individual
-  // accessors are kept for the common counters; stats() has the full set.
-  ExecutionStats execution_stats() const;
-  int64_t parallel_batches() const {
-    return execution_stats().parallel_batches;
-  }
-  int64_t computes_speculated() const {
-    return execution_stats().computes_speculated;
-  }
-  int64_t computes_redispatched() const {
-    return execution_stats().computes_redispatched;
-  }
-  int64_t computes_recomputed() const {
-    return execution_stats().computes_recomputed;
-  }
-
-  // --- backend API ---------------------------------------------------------
-  // The surface ExecutionBackend implementations drive the simulator
-  // through. Engine code never calls these.
-
-  // Lightweight view of one pending compute event. `sequence` is the stable
-  // identity (unique, never reused); `compute` references the queue entry and
-  // is only valid during the ScanPendingComputes visit — backends copy it
-  // when they dispatch.
-  struct PendingComputeView {
-    double time = 0.0;
-    int64_t sequence = 0;
-    int worker_key = -1;
-    const ComputeFn& compute;
-  };
-  enum class ScanAction { kContinue, kStop };
-
-  // Visits pending compute events in dispatch order (earliest first),
-  // skipping plain events, examining at most `max_scan` queue entries (plain
-  // events count toward the cap). Stops early when `visit` returns kStop.
-  void ScanPendingComputes(
-      int64_t max_scan,
-      const std::function<ScanAction(const PendingComputeView&)>& visit) const;
-
-  // Value provider consulted when the earliest event is a compute event:
-  // return true and set *value to commit a result the backend evaluated ahead
-  // of time; return false to run the compute half inline on this thread
-  // (plain events never consult it).
-  using SpeculationProvider =
-      std::function<bool(int64_t sequence, int worker_key, double* value)>;
-
-  // Pops and applies the earliest event in (time, sequence) order, consulting
-  // `provider` (may be null) for compute events. Returns false when no events
-  // remain. The handler runs before this returns, so backends flush
-  // invalidation re-dispatches right after the call.
-  bool StepWith(const SpeculationProvider& provider);
+  const ExecutionStats& execution_stats() const { return stats_; }
 
  private:
   static constexpr int kNoKey = kNoWorkerKey;
 
+  // One frontier member. `value` is ready once the barrier returns;
+  // invalidation replaces it through a Redispatch entry.
+  struct Speculation {
+    int64_t sequence = 0;
+    double time = 0.0;
+    ComputeFn compute;  // copy, for re-dispatch
+    double value = 0.0;
+  };
+  // One invalidated compute half re-dispatched onto the pool for the second
+  // pass. Heap-allocated so the pooled task's writes target a stable address;
+  // `done` orders those writes before any read of `value` (and before any
+  // state write by a second invalidator).
+  struct Redispatch {
+    double value = 0.0;
+    bool invalidated = false;  // a later write dirtied the key again
+    std::future<void> done;
+  };
+
   void Insert(SimEvent event);
+  // Scans the frontier and evaluates it on the pool behind a barrier; a
+  // frontier of fewer than two members is left to run inline.
+  void SpeculateFrontier();
+  // Commits the batch value for (sequence, key) into *value, routing
+  // invalidated keys through their re-dispatch entry. False: run the compute
+  // half inline.
+  bool TakeSpeculation(int64_t sequence, int worker_key, double* value);
+  // Submits the second-pass recomputes queued by NotifyStateWrite during the
+  // handler that just returned, in (time, sequence) order of their events.
+  void FlushRedispatches();
+  // Halt path: waits out the second-pass tasks (their writes target entries
+  // destroyed here) and drops every uncommitted speculation.
+  void DiscardSpeculations();
 
   double now_ = 0.0;
   int64_t next_sequence_ = 0;
@@ -301,65 +266,19 @@ class EventSimulator {
   // Pending events, behind the pluggable EventQueue seam. Defaults to the
   // calendar queue; ReplaceQueue swaps in the sorted-vector reference.
   std::unique_ptr<EventQueue> queue_;
-  ExecutionBackend* backend_ = nullptr;
-};
 
-// Strategy interface between the simulation schedule and how compute halves
-// actually get evaluated. One backend instance drives one simulator run:
-// RunUntilIdle alternates Dispatch (offer pending compute halves to the
-// backend — inline or as a pooled frontier) with DrainCommits
-// (apply at least one event in strict (time, sequence) order, consuming
-// dispatched results through the SpeculationProvider). Concrete
-// implementations and the selection plumbing live in
-// core/execution_backend.h; the interface is declared here, beside the
-// simulator it drives, because the net layer cannot depend on core.
-//
-// Contract for implementations:
-//  * Commits and plain callbacks run on the simulator thread, strictly in
-//    (time, sequence) order — only compute halves may run elsewhere.
-//  * Never evaluate two compute halves with the same worker_key
-//    concurrently, and never hold a result across a state write to its key:
-//    OnStateWrite must wait out an in-flight evaluation of that key, discard
-//    the result, and re-evaluate against post-write state (after the writing
-//    handler returns). This is what makes results bit-identical to serial
-//    dispatch for every backend.
-class ExecutionBackend {
- public:
-  virtual ~ExecutionBackend() = default;
-
-  // Short stable identifier ("serial", "speculative") used in
-  // RunResult and bench tables.
-  virtual std::string_view name() const = 0;
-
-  // Offers pending compute halves to the backend ahead of the drain. Called
-  // before every drain step; may do nothing.
-  virtual void Dispatch(EventSimulator& sim) = 0;
-
-  // Applies at least one pending event in order (typically via sim.StepWith)
-  // and flushes any invalidation re-dispatches the handler queued. Returns
-  // the number of events processed. Only called while the queue is
-  // non-empty.
-  virtual int64_t DrainCommits(EventSimulator& sim) = 0;
-
-  // The notify-before-write contract, forwarded from
-  // EventSimulator::NotifyStateWrite (see there).
-  virtual void OnStateWrite(EventSimulator& sim, int worker_key) = 0;
-
-  // Runs the simulator to completion: alternates Dispatch and DrainCommits
-  // until the queue is empty. Returns the number of events processed.
-  int64_t RunUntilIdle(EventSimulator& sim);
-
-  const ExecutionStats& stats() const { return stats_; }
-
- protected:
-  // Halt hook for RunUntilIdle: the simulator requested a halt (a crash
-  // fault), so the backend must wait out and discard every in-flight
-  // evaluation — their pooled tasks reference engine state that the caller
-  // is about to tear down — before the pending queue is cleared. Results
-  // stay deterministic because discarded evaluations never committed.
-  virtual void OnHalt(EventSimulator& /*sim*/) {}
-
+  // --- pooled path (all empty without a pool) ---
+  ThreadPool* pool_ = nullptr;
   ExecutionStats stats_;
+  // Speculations of the current batch awaiting their turn, by worker key
+  // (frontier keys are pairwise distinct). A commit erases its entry.
+  std::unordered_map<int, Speculation> inflight_;
+  // Keys whose speculation a commit since the batch formed invalidated.
+  std::unordered_set<int> dirty_keys_;
+  // Second-pass state: keys queued by the current handler (flushed right
+  // after it returns) and the in-flight re-dispatches by key.
+  std::vector<int> pending_redispatch_keys_;
+  std::unordered_map<int, std::unique_ptr<Redispatch>> redispatches_;
 };
 
 }  // namespace netmax::net

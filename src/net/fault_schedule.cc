@@ -157,38 +157,47 @@ FaultSchedule FaultSchedule::FromSeed(uint64_t seed, int num_workers,
   return schedule;
 }
 
+Status ValidateFaultEvent(const FaultEvent& event, int num_workers,
+                          std::string_view where) {
+  const auto invalid = [where](const std::string& what) {
+    return InvalidArgumentError(std::string(where) + what);
+  };
+  const int kind = static_cast<int>(event.kind);
+  if (kind < 0 || kind > static_cast<int>(FaultKind::kSlowdown)) {
+    return invalid(" has an unknown kind " + std::to_string(kind));
+  }
+  if (!std::isfinite(event.time) || event.time < 0.0) {
+    return invalid(" has a non-finite or negative time");
+  }
+  if (event.kind != FaultKind::kCrash &&
+      (event.worker < 0 || event.worker >= num_workers)) {
+    return invalid(" references worker " + std::to_string(event.worker) +
+                   ", but the run has " + std::to_string(num_workers) +
+                   " workers");
+  }
+  if (event.kind == FaultKind::kSlowdown) {
+    if (!std::isfinite(event.factor) || event.factor <= 0.0) {
+      return invalid(" has a non-positive slowdown factor");
+    }
+    if (!std::isfinite(event.duration) || event.duration <= 0.0) {
+      return invalid(" has a non-positive slowdown duration");
+    }
+  }
+  return Status::Ok();
+}
+
 Status FaultSchedule::Validate(int num_workers) const {
   double last_time = 0.0;
   for (size_t i = 0; i < events_.size(); ++i) {
     const FaultEvent& event = events_[i];
     const std::string where = "fault event " + std::to_string(i) + " (" +
                               std::string(FaultKindName(event.kind)) + ")";
-    if (!std::isfinite(event.time) || event.time < 0.0) {
-      return InvalidArgumentError(where + " has a non-finite or negative "
-                                          "time");
-    }
+    NETMAX_RETURN_IF_ERROR(ValidateFaultEvent(event, num_workers, where));
     if (event.time < last_time) {
       return InvalidArgumentError(
           where + " is out of order: fault times must be non-decreasing");
     }
     last_time = event.time;
-    if (event.kind != FaultKind::kCrash) {
-      if (event.worker < 0 || event.worker >= num_workers) {
-        return InvalidArgumentError(
-            where + " references worker " + std::to_string(event.worker) +
-            ", but the run has " + std::to_string(num_workers) + " workers");
-      }
-    }
-    if (event.kind == FaultKind::kSlowdown) {
-      if (!std::isfinite(event.factor) || event.factor <= 0.0) {
-        return InvalidArgumentError(where + " has a non-positive slowdown "
-                                            "factor");
-      }
-      if (!std::isfinite(event.duration) || event.duration <= 0.0) {
-        return InvalidArgumentError(where + " has a non-positive slowdown "
-                                            "duration");
-      }
-    }
   }
   return Status::Ok();
 }

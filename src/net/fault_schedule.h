@@ -8,7 +8,7 @@
 // as first-class virtual-time events. Because injection goes through the
 // simulator's ordinary (time, sequence) scheduling, a fault run is exactly as
 // bit-reproducible as a fault-free one: the same schedule produces the same
-// RunResult on every execution backend, thread count, and shard bound.
+// RunResult on either dispatch path, thread count, and shard bound.
 //
 // Schedules come from two sources:
 //  * Parse() — an explicit scripted spec (the `--faults=` flag grammar):
@@ -50,6 +50,15 @@ struct FaultEvent {
   double duration = 0.0;  // kSlowdown only; factor reverts at time + duration
 };
 
+// The per-entry rule FaultSchedule::Validate applies (everything but the
+// time order): a known kind, a finite non-negative time, a worker in
+// [0, num_workers) unless the kind is kCrash, and for kSlowdown a finite
+// factor > 0 and a finite duration > 0. Fault events restored from a
+// checkpoint are held to it too. InvalidArgument starting with `where`
+// otherwise.
+Status ValidateFaultEvent(const FaultEvent& event, int num_workers,
+                          std::string_view where);
+
 class FaultSchedule {
  public:
   FaultSchedule() = default;
@@ -67,9 +76,8 @@ class FaultSchedule {
   static FaultSchedule FromSeed(uint64_t seed, int num_workers, double horizon,
                                 int count);
 
-  // Config-time validation: every worker id in [0, num_workers), times
-  // finite, non-negative, and non-decreasing, slowdown factors positive and
-  // durations > 0. InvalidArgument with the offending entry otherwise.
+  // Config-time validation: every entry passes ValidateFaultEvent and times
+  // are non-decreasing. InvalidArgument with the offending entry otherwise.
   Status Validate(int num_workers) const;
 
   // Re-renders the schedule in the Parse() grammar (round-trips exactly for

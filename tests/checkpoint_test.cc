@@ -1,14 +1,17 @@
 // Bit-exact checkpoint/restore (core/checkpoint.h): for every registered
-// algorithm and both execution backends, a run that (a) checkpoints mid-run
-// and keeps going, or (b) restores from that checkpoint and finishes, must
-// produce a RunResult bit-identical to the uninterrupted run. Also covers the
+// algorithm on both dispatch paths (serial and pooled), a run that (a)
+// checkpoints mid-run and keeps going, or (b) restores from that checkpoint
+// and finishes, must produce a RunResult bit-identical to the uninterrupted
+// run. Also covers the
 // wire-format error paths: truncation, corruption, fingerprint mismatches,
 // and the file round trip.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -124,8 +127,8 @@ TEST_P(CheckpointRoundTrip, AllBackendsBitIdentical) {
   }
 }
 
-// A checkpoint written by the serial backend restores bit-identically on the
-// speculative backend and under the sorted-vector queue: the bytes carry no
+// A checkpoint written by serial dispatch restores bit-identically on the
+// pooled path and under the sorted-vector queue: the bytes carry no
 // execution-strategy state.
 TEST_P(CheckpointRoundTrip, CheckpointsAreBackendPortable) {
   const ExperimentConfig base = BaseConfig();
@@ -150,14 +153,12 @@ TEST_P(CheckpointRoundTrip, CheckpointsAreBackendPortable) {
   ExpectBitIdentical(reference, MustRun(GetParam(), resumed));
 }
 
-// Cross-config restore: a checkpoint written by the speculative backend under
-// a full thread pool restores bit-identically under a smaller sharded pool
+// Cross-config restore: a checkpoint written on the pooled path under a full
+// thread pool restores bit-identically under a smaller sharded pool
 // and back under serial. The checkpoint fingerprint covers the simulation
-// config only — backend, threads and shards are real-machine choices — so
-// both restores must accept the bytes and finish on the reference's bits.
-// (The name predates the removal of the multi-process backend, whose restore
-// leg is now the threads=2, shards=2 one.)
-TEST_P(CheckpointRoundTrip, SpeculativeCheckpointRestoresUnderProcessBackend) {
+// config only — threads and shards are real-machine choices — so both
+// restores must accept the bytes and finish on the reference's bits.
+TEST_P(CheckpointRoundTrip, RestoresAcrossPoolSizesAndSerial) {
   const ExperimentConfig base = BaseConfig();
   const RunResult reference = MustRun(GetParam(), base);
   ASSERT_GT(reference.total_virtual_seconds, 0.0);
@@ -472,6 +473,147 @@ TEST(CheckpointErrors, AdPsgdPolicyRowWithoutNeighborMassIsRejected) {
   const Status status = TryRun("adpsgd", resumed);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
   EXPECT_NE(status.message().find("neighbor mass"), std::string::npos)
+      << status.ToString();
+}
+
+// One pending event of a checkpoint's queue section, with the byte offsets
+// of its time and first arg so a test can overwrite them in place.
+struct CheckpointedEvent {
+  int worker_key = -1;
+  int64_t tag = -1;
+  std::vector<double> args;
+  size_t time_offset = 0;
+  size_t args_offset = 0;
+};
+
+// The simulator section of a checkpoint: the clock's byte offset and the
+// pending events.
+struct CheckpointedQueue {
+  size_t clock_offset = 0;
+  std::vector<CheckpointedEvent> events;
+};
+
+// Reads past the fingerprint SerializeCheckpoint writes before the clock.
+CheckpointedQueue ReadCheckpointedQueue(const std::vector<uint8_t>& checkpoint) {
+  Deserializer in(checkpoint);
+  const auto offset = [&] { return checkpoint.size() - in.remaining(); };
+  const auto skip = [](const auto& read) { NETMAX_CHECK_OK(read.status()); };
+  CheckpointedQueue queue;
+  skip(in.ReadU32());     // magic
+  skip(in.ReadU32());     // version
+  skip(in.ReadString());  // algorithm
+  skip(in.ReadInt());     // workers
+  skip(in.ReadU64());     // seed
+  skip(in.ReadInt());     // max epochs
+  skip(in.ReadI64());     // model parameters
+  skip(in.ReadString());  // profile name
+  skip(in.ReadI64());     // profile parameters
+  skip(in.ReadDouble());  // profile compute seconds
+  skip(in.ReadString());  // compression spec
+  queue.clock_offset = offset();
+  skip(in.ReadDouble());  // clock
+  skip(in.ReadI64());     // next sequence
+  skip(in.ReadI64());     // events processed
+  const StatusOr<uint64_t> count = in.ReadU64();
+  NETMAX_CHECK_OK(count.status());
+  queue.events.resize(*count);
+  for (CheckpointedEvent& event : queue.events) {
+    event.time_offset = offset();
+    skip(in.ReadDouble());  // time
+    skip(in.ReadI64());     // sequence
+    const StatusOr<int> worker_key = in.ReadInt();
+    const StatusOr<int64_t> tag = in.ReadI64();
+    NETMAX_CHECK_OK(worker_key.status());
+    NETMAX_CHECK_OK(tag.status());
+    event.worker_key = *worker_key;
+    event.tag = *tag;
+    event.args_offset = offset() + 8;  // past the args' 8-byte count
+    NETMAX_CHECK_OK(in.ReadDoubleVec(&event.args));
+  }
+  return queue;
+}
+
+// A NaN clock or an infinite event time is refused: the clock would
+// otherwise fail the scheduling check later, and an infinite time would
+// reach the calendar queue's bucket arithmetic.
+TEST(CheckpointErrors, RestoredNonFiniteTimesAreRejected) {
+  const ExperimentConfig base = BaseConfig();
+  const std::vector<uint8_t> checkpoint = MakeCheckpoint(base);
+  const CheckpointedQueue queue = ReadCheckpointedQueue(checkpoint);
+  ASSERT_FALSE(queue.events.empty());
+  for (const auto& [offset, value] :
+       {std::pair{queue.clock_offset,
+                  std::numeric_limits<double>::quiet_NaN()},
+        std::pair{queue.events.back().time_offset,
+                  std::numeric_limits<double>::infinity()}}) {
+    std::vector<uint8_t> patched = checkpoint;
+    Splice(&patched, offset,
+           [value](Serializer& out) { out.WriteDouble(value); });
+    ExperimentConfig resumed = base;
+    resumed.restore_source = &patched;
+    const Status status = TryRun("gossip", resumed);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << value << ": " << status.ToString();
+  }
+}
+
+// A restored harness fault event meets the rule a --faults entry meets. A
+// pending slowdown on w1 whose worker is patched past the run's 8 workers,
+// or to NaN, is refused instead of indexing the per-worker fault state.
+TEST(CheckpointErrors, RestoredFaultEventWithBadWorkerIsRejected) {
+  ExperimentConfig base = BaseConfig();
+  const double t = MustRun("netmax", base).total_virtual_seconds;
+  auto faults = net::FaultSchedule::Parse("slow@" + std::to_string(0.75 * t) +
+                                          "+" + std::to_string(0.1 * t) +
+                                          "x2:w1");
+  ASSERT_TRUE(faults.ok()) << faults.status().ToString();
+  base.faults = *faults;
+  const std::vector<uint8_t> checkpoint = MakeCheckpoint(base, "netmax");
+  size_t worker_offset = 0;
+  for (const CheckpointedEvent& event :
+       ReadCheckpointedQueue(checkpoint).events) {
+    if (event.tag != core::kHarnessFaultTag) continue;
+    ASSERT_EQ(event.args.size(), 4u);
+    ASSERT_EQ(event.args[1], 1.0);  // args: [kind, worker, factor, duration]
+    worker_offset = event.args_offset + 8;
+  }
+  ASSERT_GT(worker_offset, 0u) << "the slowdown is not pending";
+
+  for (const double worker :
+       {1e9, 100.0, std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<uint8_t> patched = checkpoint;
+    Splice(&patched, worker_offset,
+           [worker](Serializer& out) { out.WriteDouble(worker); });
+    ExperimentConfig resumed = base;
+    resumed.restore_source = &patched;
+    const Status status = TryRun("netmax", resumed);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "worker " << worker << ": " << status.ToString();
+  }
+}
+
+// Engine event args decode through net::DecodeIntArg, so a NetMax pull
+// whose peer is NaN is refused before any cast to int.
+TEST(CheckpointErrors, RestoredNetMaxPullWithNaNPeerIsRejected) {
+  const ExperimentConfig base = BaseConfig();
+  std::vector<uint8_t> checkpoint = MakeCheckpoint(base, "netmax");
+  constexpr int64_t kNetMaxPullTag = 1;  // args: [peer, compute, wall, round]
+  int pulls = 0;
+  for (const CheckpointedEvent& event :
+       ReadCheckpointedQueue(checkpoint).events) {
+    if (event.tag != kNetMaxPullTag || event.worker_key < 0) continue;
+    ASSERT_EQ(event.args.size(), 4u);
+    Splice(&checkpoint, event.args_offset, [](Serializer& out) {
+      out.WriteDouble(std::numeric_limits<double>::quiet_NaN());
+    });
+    ++pulls;
+  }
+  ASSERT_GT(pulls, 0) << "no pull is pending at the checkpoint";
+  ExperimentConfig resumed = base;
+  resumed.restore_source = &checkpoint;
+  const Status status = TryRun("netmax", resumed);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("NetMax"), std::string::npos)
       << status.ToString();
 }
 

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <new>
 #include <string>
@@ -238,8 +239,9 @@ TEST(EventQueueTest, SaveRestoreRoundTripsAcrossQueueKinds) {
       EventPayload payload;
       payload.tag = tag;
       const double time = static_cast<double>((tag * 7) % 5);
-      source.ScheduleAt(time, std::move(payload),
-                        [&source_order, tag] { source_order.push_back(tag); });
+      source.ScheduleAt(
+          time, [&source_order, tag] { source_order.push_back(tag); },
+          std::move(payload));
     }
     const auto saved = source.SaveQueue();
     ASSERT_TRUE(saved.ok()) << EventQueueKindName(save_kind);
@@ -288,8 +290,8 @@ TEST(EventQueueTest, SteadyStateSchedulingIsAllocationFree) {
     const std::vector<double>* periods;
     void Fire(int worker) const {
       const Tick self = *this;
-      sim->ScheduleAfter((*periods)[static_cast<size_t>(worker)],
-                         [self, worker] { self.Fire(worker); });
+      sim->ScheduleAt(sim->Now() + (*periods)[static_cast<size_t>(worker)],
+                      [self, worker] { self.Fire(worker); });
     }
   };
   for (const EventQueueKind kind : kAllKinds) {
@@ -343,6 +345,29 @@ TEST(EventQueueTest, SimulatorRunsIdenticallyUnderEveryKind) {
     EXPECT_EQ(orders[i], orders[0]) << EventQueueKindName(kAllKinds[i]);
     EXPECT_EQ(final_times[i], final_times[0])
         << EventQueueKindName(kAllKinds[i]);
+  }
+}
+
+TEST(DecodeIntArgTest, AcceptsIntegralValuesInRange) {
+  int worker = -1;
+  EXPECT_TRUE(DecodeIntArg(7.0, 0, 7, &worker));
+  EXPECT_EQ(worker, 7);
+  int64_t round = -1;
+  EXPECT_TRUE(DecodeIntArg(static_cast<double>(kMaxExactIntArg), 0,
+                           kMaxExactIntArg, &round));
+  EXPECT_EQ(round, kMaxExactIntArg);
+}
+
+TEST(DecodeIntArgTest, RejectsNonFiniteFractionalAndOutOfRangeValues) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), 2.5,
+                           -1.0, 8.0, 1e9, 1e300}) {
+    int worker = 42;
+    EXPECT_FALSE(DecodeIntArg(bad, 0, 7, &worker)) << bad;
+    EXPECT_EQ(worker, 42) << bad;  // untouched on failure
+    int64_t round = 42;
+    EXPECT_FALSE(DecodeIntArg(bad * 1e10, 0, 7, &round)) << bad;
   }
 }
 

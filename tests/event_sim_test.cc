@@ -1,12 +1,18 @@
+// The event simulator: ordering, scheduling, and the pooled dispatch path's
+// invalidation and re-dispatch protocol, which must reproduce the serial
+// trace bit for bit at every pool size.
+
 #include "net/event_sim.h"
 
+#include <chrono>
+#include <functional>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
-#include "core/execution_backend.h"
 
 namespace netmax::net {
 namespace {
@@ -32,49 +38,18 @@ TEST(EventSimTest, TiesBrokenByInsertionOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(EventSimTest, ScheduleAfterIsRelative) {
-  EventSimulator sim;
-  double fired_at = -1.0;
-  sim.ScheduleAt(5.0, [&] {
-    sim.ScheduleAfter(2.5, [&] { fired_at = sim.Now(); });
-  });
-  sim.RunUntilIdle();
-  EXPECT_DOUBLE_EQ(fired_at, 7.5);
-}
-
 TEST(EventSimTest, CallbackMaySpawnEvents) {
   EventSimulator sim;
   int count = 0;
   // A self-perpetuating chain of 10 events.
   std::function<void()> tick = [&] {
     ++count;
-    if (count < 10) sim.ScheduleAfter(1.0, tick);
+    if (count < 10) sim.ScheduleAt(sim.Now() + 1.0, tick);
   };
   sim.ScheduleAt(0.0, tick);
   sim.RunUntilIdle();
   EXPECT_EQ(count, 10);
   EXPECT_DOUBLE_EQ(sim.Now(), 9.0);
-}
-
-TEST(EventSimTest, RunUntilStopsAtLimit) {
-  EventSimulator sim;
-  std::vector<int> fired;
-  sim.ScheduleAt(1.0, [&] { fired.push_back(1); });
-  sim.ScheduleAt(2.0, [&] { fired.push_back(2); });
-  sim.ScheduleAt(3.0, [&] { fired.push_back(3); });
-  const int64_t processed = sim.RunUntil(2.0);
-  EXPECT_EQ(processed, 2);
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-  EXPECT_DOUBLE_EQ(sim.Now(), 2.0);
-  EXPECT_FALSE(sim.empty());
-  sim.RunUntilIdle();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventSimTest, RunUntilAdvancesClockWhenIdle) {
-  EventSimulator sim;
-  sim.RunUntil(42.0);
-  EXPECT_DOUBLE_EQ(sim.Now(), 42.0);
 }
 
 TEST(EventSimTest, StepReturnsFalseWhenEmpty) {
@@ -99,7 +74,30 @@ TEST(EventSimTest, SchedulingIntoThePastDies) {
 
 TEST(EventSimTest, NegativeDelayDies) {
   EventSimulator sim;
-  EXPECT_DEATH({ sim.ScheduleAfter(-1.0, [] {}); }, "Check failed");
+  sim.ScheduleAt(2.0, [] {});
+  sim.RunUntilIdle();
+  EXPECT_DEATH({ sim.ScheduleAt(sim.Now() - 1.0, [] {}); }, "past");
+}
+
+TEST(EventSimTest, NoPoolMeansSerialAndNotifyIsANoOp) {
+  EventSimulator sim;
+  int compute_runs = 0;
+  double committed = 0.0;
+  sim.ScheduleCompute(
+      1.0, 0,
+      [&] {
+        ++compute_runs;
+        return 4.0;
+      },
+      [&](double value) {
+        sim.NotifyStateWrite(0);  // must be harmless without a pool
+        committed = value;
+      });
+  sim.RunUntilIdle();
+  EXPECT_EQ(compute_runs, 1);
+  EXPECT_DOUBLE_EQ(committed, 4.0);
+  EXPECT_EQ(sim.execution_stats().computes_speculated, 0);
+  EXPECT_EQ(sim.execution_stats().parallel_batches, 0);
 }
 
 // --- two-phase compute/commit events ----------------------------------------
@@ -124,8 +122,7 @@ TEST(ComputeEventTest, SerialDispatchRunsComputeThenCommit) {
 TEST(ComputeEventTest, CommitsRunInTimeSequenceOrderOnThePool) {
   ThreadPool pool(4);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
-  sim.set_backend(&backend);
+  sim.set_pool(&pool);
   std::vector<int> commit_order;
   for (int key = 0; key < 8; ++key) {
     sim.ScheduleCompute(
@@ -138,7 +135,7 @@ TEST(ComputeEventTest, CommitsRunInTimeSequenceOrderOnThePool) {
   sim.RunUntilIdle();
   // Scheduled in reverse time order: commits must come back time-sorted.
   EXPECT_EQ(commit_order, (std::vector<int>{7, 6, 5, 4, 3, 2, 1, 0}));
-  EXPECT_GT(sim.computes_speculated(), 0);
+  EXPECT_GT(sim.execution_stats().computes_speculated, 0);
 }
 
 TEST(ComputeEventTest, SameKeyEventsSeeEachOthersCommitsInOrder) {
@@ -148,8 +145,7 @@ TEST(ComputeEventTest, SameKeyEventsSeeEachOthersCommitsInOrder) {
   // would return stale values.
   ThreadPool pool(4);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
-  sim.set_backend(&backend);
+  sim.set_pool(&pool);
   double state = 0.0;  // owned by key 0
   std::vector<double> seen;
   for (int i = 0; i < 3; ++i) {
@@ -176,8 +172,7 @@ TEST(ComputeEventTest, NotifyStateWriteInvalidatesStaleSpeculation) {
   // A's commit, observing A's write.
   ThreadPool pool(4);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
-  sim.set_backend(&backend);
+  sim.set_pool(&pool);
   double shared_b_state = 1.0;  // owned by key 1
   double b_saw = 0.0;
   sim.ScheduleCompute(
@@ -191,9 +186,9 @@ TEST(ComputeEventTest, NotifyStateWriteInvalidatesStaleSpeculation) {
       [&](double value) { b_saw = value; });
   sim.RunUntilIdle();
   EXPECT_DOUBLE_EQ(b_saw, 100.0);
-  EXPECT_EQ(sim.computes_speculated(), 2);
-  EXPECT_EQ(sim.computes_redispatched(), 1);
-  EXPECT_EQ(sim.computes_recomputed(), 0);
+  EXPECT_EQ(sim.execution_stats().computes_speculated, 2);
+  EXPECT_EQ(sim.execution_stats().computes_redispatched, 1);
+  EXPECT_EQ(sim.execution_stats().computes_recomputed, 0);
 }
 
 TEST(ComputeEventTest, RedispatchedComputeInvalidatedAgainStaysOrdered) {
@@ -204,8 +199,7 @@ TEST(ComputeEventTest, RedispatchedComputeInvalidatedAgainStaysOrdered) {
   // the value a serial run would produce, after the SECOND write.
   ThreadPool pool(4);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
-  sim.set_backend(&backend);
+  sim.set_pool(&pool);
   double state = 1.0;  // owned by key 3
   double d_saw = 0.0;
   sim.ScheduleCompute(
@@ -227,9 +221,9 @@ TEST(ComputeEventTest, RedispatchedComputeInvalidatedAgainStaysOrdered) {
       [&](double value) { d_saw = value; });
   sim.RunUntilIdle();
   EXPECT_DOUBLE_EQ(d_saw, 20.0);
-  EXPECT_EQ(sim.computes_speculated(), 4);
-  EXPECT_EQ(sim.computes_redispatched(), 2);  // once per invalidation
-  EXPECT_EQ(sim.computes_recomputed(), 0);
+  EXPECT_EQ(sim.execution_stats().computes_speculated, 4);
+  EXPECT_EQ(sim.execution_stats().computes_redispatched, 2);  // once per invalidation
+  EXPECT_EQ(sim.execution_stats().computes_recomputed, 0);
 }
 
 TEST(ComputeEventTest, RedispatchWithinOneHandlerReadsPostHandlerState) {
@@ -238,8 +232,7 @@ TEST(ComputeEventTest, RedispatchWithinOneHandlerReadsPostHandlerState) {
   // handler returns) must observe both — not the state mid-handler.
   ThreadPool pool(4);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
-  sim.set_backend(&backend);
+  sim.set_pool(&pool);
   double b_state = 1.0;  // owned by key 1
   double b_saw = 0.0;
   sim.ScheduleCompute(
@@ -255,15 +248,14 @@ TEST(ComputeEventTest, RedispatchWithinOneHandlerReadsPostHandlerState) {
       [&](double value) { b_saw = value; });
   sim.RunUntilIdle();
   EXPECT_DOUBLE_EQ(b_saw, 7.0);
-  EXPECT_EQ(sim.computes_redispatched(), 1);  // deduplicated
-  EXPECT_EQ(sim.computes_recomputed(), 0);
+  EXPECT_EQ(sim.execution_stats().computes_redispatched, 1);  // deduplicated
+  EXPECT_EQ(sim.execution_stats().computes_recomputed, 0);
 }
 
 TEST(ComputeEventTest, PlainEventsInterleaveAtExactPositions) {
   ThreadPool pool(2);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
-  sim.set_backend(&backend);
+  sim.set_pool(&pool);
   std::vector<int> order;
   sim.ScheduleCompute(
       1.0, 0, [] { return 1.0; },
@@ -283,14 +275,13 @@ TEST(ComputeEventTest, CommitMayScheduleEarlierThanLaterFrontierMembers) {
   // run before B's commit and invalidate B's speculation.
   ThreadPool pool(4);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
-  sim.set_backend(&backend);
+  sim.set_pool(&pool);
   double b_state = 1.0;
   double b_saw = 0.0;
   sim.ScheduleCompute(
       1.0, 0, [] { return 0.0; },
       [&](double) {
-        sim.ScheduleAfter(0.5, [&] {
+        sim.ScheduleAt(sim.Now() + 0.5, [&] {
           sim.NotifyStateWrite(1);
           b_state = 7.0;
         });
@@ -301,41 +292,75 @@ TEST(ComputeEventTest, CommitMayScheduleEarlierThanLaterFrontierMembers) {
   EXPECT_DOUBLE_EQ(b_saw, 7.0);
 }
 
-TEST(ComputeEventTest, ChainedComputeEventsMatchSerialBits) {
-  // A mini workload in both modes: per-key chains whose commits couple
-  // neighboring keys (like consensus pulls). The event trace must be
-  // identical with and without a pool.
-  const auto run = [](ExecutionBackend* backend) {
-    EventSimulator sim;
-    sim.set_backend(backend);
-    std::vector<double> state(4, 1.0);
-    std::vector<double> trace;
-    std::function<void(int, int)> chain = [&](int key, int remaining) {
-      if (remaining == 0) return;
-      sim.ScheduleComputeAfter(
-          0.5 + 0.25 * key, key, [&state, key] { return state[key] * 3.0; },
-          [&, key, remaining](double value) {
-            trace.push_back(value);
-            const int peer = (key + 1) % 4;
-            sim.NotifyStateWrite(key);
-            sim.NotifyStateWrite(peer);
-            state[key] = 0.5 * (value + state[peer]);
-            state[peer] += 0.125;
-            chain(key, remaining - 1);
-          });
-    };
-    for (int key = 0; key < 4; ++key) chain(key, 6);
-    sim.RunUntilIdle();
-    return trace;
-  };
-  const std::vector<double> serial = run(nullptr);
+TEST(ComputeEventTest, HaltDiscardsUncommittedSpeculations) {
+  // A crash fault mid-batch: the first commit invalidates key 1 (queueing a
+  // second-pass re-dispatch) and requests a halt. Nothing after it commits,
+  // the re-dispatch is waited out and dropped, and the queue is cleared.
   ThreadPool pool(4);
-  core::SpeculativeBackend backend(&pool);
-  const std::vector<double> parallel = run(&backend);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], parallel[i]) << i;
+  EventSimulator sim;
+  sim.set_pool(&pool);
+  std::vector<int> committed;
+  for (int key = 0; key < 4; ++key) {
+    sim.ScheduleCompute(
+        1.0 + key, key, [key] { return static_cast<double>(key); },
+        [&sim, &committed, key](double) {
+          committed.push_back(key);
+          if (key == 0) {
+            sim.NotifyStateWrite(1);
+            sim.RequestHalt();
+          }
+        });
   }
+  EXPECT_EQ(sim.RunUntilIdle(), 1);
+  EXPECT_EQ(committed, (std::vector<int>{0}));
+  EXPECT_TRUE(sim.empty());
+  EXPECT_DOUBLE_EQ(sim.Now(), 1.0);
+  EXPECT_EQ(sim.execution_stats().computes_speculated, 4);
+  EXPECT_EQ(sim.execution_stats().computes_redispatched, 1);
+}
+
+// --- serial vs pooled bit-identity on a chained mini workload ---------------
+
+// Per-key compute chains whose commits couple neighboring keys (like
+// consensus pulls). With `straggler`, key 1's compute half sleeps ten times
+// longer than the others, so pooled evaluations finish out of order.
+std::vector<double> RunChainedWorkload(ThreadPool* pool, bool straggler) {
+  EventSimulator sim;
+  sim.set_pool(pool);
+  std::vector<double> state(4, 1.0);
+  std::vector<double> trace;
+  std::function<void(int, int)> chain = [&](int key, int remaining) {
+    if (remaining == 0) return;
+    sim.ScheduleCompute(
+        sim.Now() + 0.5 + 0.25 * key, key,
+        [&state, key, straggler] {
+          if (straggler) {
+            std::this_thread::sleep_for(
+                std::chrono::microseconds(key == 1 ? 500 : 50));
+          }
+          return state[static_cast<size_t>(key)] * 3.0;
+        },
+        [&, key, remaining](double value) {
+          trace.push_back(value);
+          const int peer = (key + 1) % 4;
+          sim.NotifyStateWrite(key);
+          sim.NotifyStateWrite(peer);
+          state[static_cast<size_t>(key)] =
+              0.5 * (value + state[static_cast<size_t>(peer)]);
+          state[static_cast<size_t>(peer)] += 0.125;
+          chain(key, remaining - 1);
+        });
+  };
+  for (int key = 0; key < 4; ++key) chain(key, 6);
+  sim.RunUntilIdle();
+  EXPECT_EQ(sim.execution_stats().computes_recomputed, 0);
+  return trace;
+}
+
+TEST(ComputeEventTest, ChainedComputeEventsMatchSerialBits) {
+  const std::vector<double> serial = RunChainedWorkload(nullptr, false);
+  ThreadPool pool(4);
+  EXPECT_EQ(RunChainedWorkload(&pool, false), serial);
 }
 
 TEST(ComputeEventTest, NegativeWorkerKeyDies) {
@@ -346,6 +371,15 @@ TEST(ComputeEventTest, NegativeWorkerKeyDies) {
             1.0, -1, [] { return 0.0; }, [](double) {});
       },
       "worker_key");
+}
+
+TEST(EventSimDeterminismTest, SerialAndEveryPoolSizeProduceTheSameTrace) {
+  const std::vector<double> reference = RunChainedWorkload(nullptr, true);
+  for (const int pool_threads : {1, 4}) {
+    ThreadPool pool(pool_threads);
+    EXPECT_EQ(RunChainedWorkload(&pool, true), reference)
+        << "pool(" << pool_threads << ")";
+  }
 }
 
 }  // namespace

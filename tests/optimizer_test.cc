@@ -8,7 +8,7 @@
 namespace netmax::ml {
 namespace {
 
-TEST(SgdOptimizerTest, PlainGradientStepWithoutMomentum) {
+TEST(SgdOptimizerTest, PlainGradientUpdateWithoutMomentum) {
   SgdOptions options;
   options.learning_rate = 0.5;
   options.momentum = 0.0;

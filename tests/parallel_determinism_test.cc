@@ -4,8 +4,8 @@
 // pooled two-phase dispatch (threads=8), across every intra-worker shard
 // count (the gradient is defined over a fixed leaf decomposition and tree
 // reduction, ml/sharding.h), and across both event queues
-// (net/event_queue.h). The thread count also picks the execution backend
-// (core/execution_backend.h): serial at threads=1, speculative above. This
+// (net/event_queue.h). The thread count also picks the simulator's dispatch
+// path (net/event_sim.h): serial at threads=1, speculative above. This
 // is the contract that lets the benches and golden tests run at any
 // {threads, shards, event queue} point.
 
