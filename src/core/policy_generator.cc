@@ -18,6 +18,41 @@ namespace {
 // Numerical floor below which lambda_2 is treated as "converges in one step".
 constexpr double kLambdaFloor = 1e-12;
 
+// The two per-row aggregates of the edge times that Appendix A's bounds
+// read: max_i sum_m t_im and min_i max_m t_im (m over i's neighbours).
+struct RowTimeBounds {
+  double max_row_sum = 0.0;
+  double min_row_max = std::numeric_limits<double>::infinity();
+};
+
+RowTimeBounds ComputeRowTimeBounds(const net::Topology& topology,
+                                   const linalg::Matrix& iteration_times) {
+  RowTimeBounds bounds;
+  for (int i = 0; i < topology.num_nodes(); ++i) {
+    double sum_t = 0.0;
+    double max_t = 0.0;
+    for (int m : topology.Neighbors(i)) {
+      const double t = iteration_times(i, m);
+      sum_t += t;
+      max_t = std::max(max_t, t);
+    }
+    bounds.max_row_sum = std::max(bounds.max_row_sum, sum_t);
+    bounds.min_row_max = std::min(bounds.min_row_max, max_t);
+  }
+  return bounds;
+}
+
+// [L, U] of Eqs. (26) and (28): L = max_i (1/M) sum_m t_im * lb and
+// U = min_i (1/M) max_m t_im. For lb > 0, the rounded lb*x/M and x/M are
+// monotone in x, so taking them at the row aggregates gives the same bits as
+// taking the max (min) of the per-row values.
+std::pair<double, double> StepTimeInterval(double lb,
+                                           const RowTimeBounds& bounds,
+                                           int num_nodes) {
+  const double n = static_cast<double>(num_nodes);
+  return {lb * bounds.max_row_sum / n, bounds.min_row_max / n};
+}
+
 }  // namespace
 
 PolicyGenerator::PolicyGenerator(net::Topology topology,
@@ -45,22 +80,9 @@ double EdgeLowerBound(const PolicyGeneratorOptions& options, double rho) {
 
 std::pair<double, double> PolicyGenerator::FeasibleStepTimeInterval(
     double rho, const linalg::Matrix& iteration_times) const {
-  const int n = topology_.num_nodes();
-  const double lb = EdgeLowerBound(options_, rho);
-  double lower = 0.0;   // max over i of (1/M) sum_m t_im * lb   (Eq. 26)
-  double upper = std::numeric_limits<double>::infinity();  // Eq. 28
-  for (int i = 0; i < n; ++i) {
-    double sum_t = 0.0;
-    double max_t = 0.0;
-    for (int m : topology_.Neighbors(i)) {
-      const double t = iteration_times(i, m);
-      sum_t += t;
-      max_t = std::max(max_t, t);
-    }
-    lower = std::max(lower, lb * sum_t / static_cast<double>(n));
-    upper = std::min(upper, max_t / static_cast<double>(n));
-  }
-  return {lower, upper};
+  return StepTimeInterval(EdgeLowerBound(options_, rho),
+                          ComputeRowTimeBounds(topology_, iteration_times),
+                          topology_.num_nodes());
 }
 
 StatusOr<CommunicationPolicy> PolicyGenerator::SolvePolicyLp(
@@ -175,23 +197,12 @@ StatusOr<GeneratedPolicy> PolicyGenerator::Generate(
   // so we place the K grid points over (0, rho_max] instead.
   const bool averaging =
       options_.mode == PolicyGeneratorOptions::Mode::kAveraging;
+  const RowTimeBounds bounds = ComputeRowTimeBounds(topology_, iteration_times);
   double rho_max = 0.5 / options_.alpha;
   if (!averaging) {
-    const int n = topology_.num_nodes();
-    double max_row_time = 0.0;
-    double upper = std::numeric_limits<double>::infinity();
-    for (int i = 0; i < n; ++i) {
-      double sum_t = 0.0;
-      double max_t = 0.0;
-      for (int m : topology_.Neighbors(i)) {
-        sum_t += iteration_times(i, m);
-        max_t = std::max(max_t, iteration_times(i, m));
-      }
-      max_row_time = std::max(max_row_time, sum_t);
-      upper = std::min(upper, max_t);
-    }
     const double rho_feasible =
-        (upper / max_row_time - options_.probability_margin) /
+        (bounds.min_row_max / bounds.max_row_sum -
+         options_.probability_margin) /
         (2.0 * options_.alpha);
     if (rho_feasible <= 0.0) {
       return InfeasibleError("no rho admits a feasible policy");
@@ -215,7 +226,8 @@ StatusOr<GeneratedPolicy> PolicyGenerator::Generate(
                               static_cast<size_t>(inner));
   for (int k = 1; k <= rounds; ++k) {
     const double rho = averaging ? 0.0 : rho_delta * static_cast<double>(k);
-    const auto [lower, upper] = FeasibleStepTimeInterval(rho, iteration_times);
+    const auto [lower, upper] =
+        StepTimeInterval(EdgeLowerBound(options_, rho), bounds, n);
     if (!(lower <= upper)) continue;  // this rho admits no feasible t_bar
     const double delta = (upper - lower) / static_cast<double>(inner);
     for (int r = 1; r <= inner; ++r) {

@@ -19,14 +19,6 @@
 
 namespace netmax::linalg {
 
-// C (m x n) = A (m x k) * B^T (+ bias), where B (n x k) is stored row-major:
-// C[i][j] = (bias ? bias[j] : 0) + sum_t A[i][t] * B[j][t], t ascending.
-// This is the inner-product ("transposed-B") GEMM: both operands are read
-// along contiguous rows, which is the layout of a batch of feature rows
-// against a row-major weight matrix W (out x in).
-void GemmTransB(int m, int n, int k, const double* a, int lda, const double* b,
-                int ldb, const double* bias, double* c, int ldc);
-
 // C (m x n) += A^T * B with A (r x m), B (r x n) row-major:
 // C[i][j] += sum_s A[s][i] * B[s][j], s ascending (a sequence of rank-1
 // updates). This is the weight-gradient kernel: delta rows (batch x out)

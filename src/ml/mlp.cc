@@ -6,7 +6,6 @@
 #include "common/random.h"
 #include "linalg/blas.h"
 #include "linalg/vector_ops.h"
-#include "ml/linear_model.h"
 #include "ml/sharding.h"
 
 namespace netmax::ml {
@@ -18,6 +17,35 @@ constexpr int kSlotInput = 0;
 constexpr int kSlotActBase = 1;
 
 }  // namespace
+
+void SoftmaxInPlace(std::span<double> logits) {
+  double max_logit = logits[0];
+  for (double v : logits) max_logit = std::max(max_logit, v);
+  double total = 0.0;
+  for (double& v : logits) {
+    v = std::exp(v - max_logit);
+    total += v;
+  }
+  for (double& v : logits) v /= total;
+}
+
+double CrossEntropyFromProbabilities(std::span<const double> probabilities,
+                                     int label) {
+  constexpr double kFloor = 1e-12;
+  return -std::log(std::max(probabilities[static_cast<size_t>(label)], kFloor));
+}
+
+void ArgmaxRows(std::span<const double> logits, size_t rows, size_t cols,
+                std::span<int> out) {
+  for (size_t r = 0; r < rows; ++r) {
+    const double* row = logits.data() + r * cols;
+    size_t best = 0;
+    for (size_t c = 1; c < cols; ++c) {
+      if (row[c] > row[best]) best = c;
+    }
+    out[r] = static_cast<int>(best);
+  }
+}
 
 Mlp::Mlp(std::vector<int> layer_sizes) : layer_sizes_(std::move(layer_sizes)) {
   NETMAX_CHECK_GE(layer_sizes_.size(), 2u) << "need at least input and output";

@@ -6,6 +6,7 @@
 // gossip dynamics only interact with the flat parameter vector, so an MLP
 // exercises exactly the code path a ResNet would, at laptop scale.
 
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <string>
@@ -78,6 +79,19 @@ class Mlp : public Model {
   std::vector<size_t> layer_offsets_;  // start of each layer's block
   std::vector<double> params_;
 };
+
+// Computes softmax probabilities of `logits` in place, numerically stably.
+void SoftmaxInPlace(std::span<double> logits);
+
+// Row-wise argmax of a row-major (rows x cols) logits matrix into `out`
+// (size rows); ties break toward the lowest class index, matching
+// single-example Predict.
+void ArgmaxRows(std::span<const double> logits, size_t rows, size_t cols,
+                std::span<int> out);
+
+// Returns -log(probabilities[label]) with clamping away from 0.
+double CrossEntropyFromProbabilities(std::span<const double> probabilities,
+                                     int label);
 
 }  // namespace netmax::ml
 

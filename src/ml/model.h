@@ -5,9 +5,10 @@
 //
 // Decentralized SGD only needs three things from a model: a flat parameter
 // vector (what workers exchange in Algorithm 2), minibatch loss+gradient
-// (line 11's local update), and prediction (test accuracy). Every model in
-// src/ml implements this interface and is verified against finite-difference
-// gradients in tests.
+// (line 11's local update), and prediction (test accuracy). Engines and the
+// sharding driver see a model only through this interface; ml::Mlp is its
+// one implementation, verified against finite-difference gradients and the
+// naive reference (tests/reference_impls.h) in tests.
 
 #include <cstdint>
 #include <memory>
@@ -48,19 +49,14 @@ class Model {
   // Workspace overload: the zero-allocation batched hot path. Scratch memory
   // comes from `workspace` (grow-only, reused across batches), and results
   // are bit-identical to the workspace-free overload — implementations keep
-  // the same per-element summation order. The batched models define this
+  // the same per-element summation order. Implementations define this
   // overload through the fixed leaf decomposition of ml/sharding.h (per-leaf
   // unscaled partials, pairwise tree reduction), which is what makes the
-  // sharded parallel evaluation bit-identical to this serial call. The
-  // default forwards to the workspace-free overload for models that have not
-  // been batched yet.
+  // sharded parallel evaluation bit-identical to this serial call.
   virtual double LossAndGradient(const Dataset& data,
                                  std::span<const int> batch_indices,
                                  std::span<double> gradient,
-                                 TrainingWorkspace& workspace) const {
-    (void)workspace;
-    return LossAndGradient(data, batch_indices, gradient);
-  }
+                                 TrainingWorkspace& workspace) const = 0;
 
   // Shard-range entry point of the leaf decomposition (ml/sharding.h): for
   // each leaf l in [leaf_begin, leaf_end) of GradientLeafRange(batch, l),
@@ -97,28 +93,19 @@ class Model {
 
   // Batched prediction: writes the predicted class of every `indices[i]` to
   // `out[i]` (`out.size()` must equal `indices.size()`), sharing one forward
-  // pass over the whole batch where implemented. The evaluation counterpart
-  // of the workspace LossAndGradient overload (same scratch reuse, same
-  // bit-identical results); the default loops single-example Predict.
-  // Contract: implementations (of this and the LossAndGradient overload) may
-  // use only the workspace's double Scratch slots — IntScratch slots are
-  // reserved for callers, whose index spans may be backed by them.
+  // pass over the whole batch. The evaluation counterpart of the workspace
+  // LossAndGradient overload (same scratch reuse, same bit-identical
+  // results). Contract: implementations (of this and the LossAndGradient
+  // overload) may use only the workspace's double Scratch slots — IntScratch
+  // slots are reserved for callers, whose index spans may be backed by them.
   virtual void PredictBatch(const Dataset& data, std::span<const int> indices,
                             std::span<int> out,
-                            TrainingWorkspace& workspace) const {
-    (void)workspace;
-    for (size_t i = 0; i < indices.size(); ++i) {
-      out[i] = Predict(data, indices[i]);
-    }
-  }
+                            TrainingWorkspace& workspace) const = 0;
 
   // Sizes of the contiguous parameter segments that layer-wise partial sync
-  // (ml/compression.h) masks over; entries sum to num_parameters(). The
-  // default treats the whole vector as one segment; layered models override
-  // with their real per-layer geometry.
-  virtual std::vector<int64_t> LayerSegments() const {
-    return {static_cast<int64_t>(num_parameters())};
-  }
+  // (ml/compression.h) masks over, one per layer; entries sum to
+  // num_parameters().
+  virtual std::vector<int64_t> LayerSegments() const = 0;
 
   // Deep copy (architecture + parameters).
   virtual std::unique_ptr<Model> Clone() const = 0;
@@ -129,25 +116,10 @@ class Model {
   // num_parameters(); empty = loss only). Like the overloads above,
   // implementations may use only the workspace's double Scratch slots —
   // ReduceScratch slots belong to the sharding driver and IntScratch slots
-  // to callers. The default evaluates the workspace-FREE LossAndGradient
-  // (whose scratch, the thread-local workspace, cannot alias the driver's
-  // live ReduceScratch partials) and rescales the leaf mean back to sums;
-  // that keeps every determinism guarantee — leaves are fixed regardless of
-  // shards/threads — but is bit-exact against the batched models' native
-  // sums only when the leaf size is a power of two. Models that route their
-  // workspace LossAndGradient through ShardedLossAndGradient MUST override
-  // this with a native unscaled evaluation (all batched models do), or the
-  // default's fallback re-enters the driver per leaf.
-  virtual double LeafLossAndGradientSums(const Dataset& data,
-                                         std::span<const int> leaf,
-                                         std::span<double> gradient,
-                                         TrainingWorkspace& workspace) const {
-    (void)workspace;  // the default deliberately uses thread-local scratch
-    const double mean_loss = LossAndGradient(data, leaf, gradient);
-    const double samples = static_cast<double>(leaf.size());
-    for (double& g : gradient) g *= samples;
-    return mean_loss * samples;
-  }
+  // to callers.
+  virtual double LeafLossAndGradientSums(
+      const Dataset& data, std::span<const int> leaf,
+      std::span<double> gradient, TrainingWorkspace& workspace) const = 0;
 };
 
 }  // namespace netmax::ml

@@ -1,5 +1,6 @@
-// Gradient-checks every model against central finite differences and verifies
-// basic training behaviour (loss decreases, separable data learnable).
+// Gradient-checks Mlp architectures, with and without hidden layers, against
+// central finite differences and verifies basic training behaviour (loss
+// decreases, separable data learnable).
 
 #include <cmath>
 #include <memory>
@@ -8,9 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "ml/conv_net.h"
 #include "ml/dataset.h"
-#include "ml/linear_model.h"
 #include "ml/metrics.h"
 #include "ml/mlp.h"
 #include "ml/optimizer.h"
@@ -58,9 +57,9 @@ void CheckGradient(Model& model, const Dataset& data) {
   }
 }
 
-TEST(LinearModelTest, GradientMatchesFiniteDifferences) {
+TEST(MlpTest, GradientMatchesFiniteDifferencesNoHidden) {
   Dataset data = SmallDataset(6, 3, 16, 1);
-  LinearModel model(6, 3);
+  Mlp model({6, 3});  // softmax regression
   CheckGradient(model, data);
 }
 
@@ -76,27 +75,10 @@ TEST(MlpTest, GradientMatchesFiniteDifferencesTwoHidden) {
   CheckGradient(model, data);
 }
 
-TEST(ConvNetTest, GradientMatchesFiniteDifferences) {
-  Dataset data = SmallDataset(10, 3, 16, 4);
-  ConvNet model(10, 4, 3, 3);
-  CheckGradient(model, data);
-}
-
-TEST(LinearModelTest, ParameterLayoutSize) {
-  LinearModel model(6, 3);
-  EXPECT_EQ(model.num_parameters(), 6 * 3 + 3);
-}
-
 TEST(MlpTest, ParameterLayoutSize) {
+  EXPECT_EQ(Mlp({6, 3}).num_parameters(), 6 * 3 + 3);
   Mlp model({4, 6, 3});
   EXPECT_EQ(model.num_parameters(), (4 * 6 + 6) + (6 * 3 + 3));
-}
-
-TEST(ConvNetTest, ParameterLayoutSize) {
-  ConvNet model(10, 4, 3, 2);
-  // conv: 4*3+4; fc: 2*(4*8)+2 with L = 10-3+1 = 8.
-  EXPECT_EQ(model.conv_output_length(), 8);
-  EXPECT_EQ(model.num_parameters(), (4 * 3 + 4) + (2 * 4 * 8 + 2));
 }
 
 TEST(MlpTest, RejectsDegenerateArchitectures) {
@@ -153,9 +135,8 @@ TEST(InitializationTest, DeterministicInSeed) {
   EXPECT_TRUE(differs);
 }
 
-// Each model family must be able to fit a well-separated 3-class problem.
-template <typename ModelT>
-void TrainAndExpectHighAccuracy(ModelT& model, double min_accuracy) {
+// Each architecture must be able to fit a well-separated 3-class problem.
+void TrainAndExpectHighAccuracy(Mlp& model, double min_accuracy) {
   SyntheticSpec spec;
   spec.feature_dim = 8;
   spec.num_classes = 3;
@@ -183,19 +164,14 @@ void TrainAndExpectHighAccuracy(ModelT& model, double min_accuracy) {
   EXPECT_GE(Accuracy(model, pair.test), min_accuracy);
 }
 
-TEST(TrainingTest, LinearModelLearnsSeparableData) {
-  LinearModel model(8, 3);
+TEST(TrainingTest, SoftmaxRegressionLearnsSeparableData) {
+  Mlp model({8, 3});
   TrainAndExpectHighAccuracy(model, 0.95);
 }
 
 TEST(TrainingTest, MlpLearnsSeparableData) {
   Mlp model({8, 16, 3});
   TrainAndExpectHighAccuracy(model, 0.95);
-}
-
-TEST(TrainingTest, ConvNetLearnsSeparableData) {
-  ConvNet model(8, 6, 3, 3);
-  TrainAndExpectHighAccuracy(model, 0.90);
 }
 
 }  // namespace
