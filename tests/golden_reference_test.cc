@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -77,14 +78,28 @@ TEST(GoldenReferenceTest, MlpMatchesNaiveOnRandomInstances) {
       {5, 7, 3},       // one hidden
       {9, 13, 11, 4},  // two hidden, odd widths (kernel remainder paths)
       {32, 32, 10},    // the CIFAR10-sim proxy shape
-      {32, 10},        // softmax regression at the proxy's input width
-      {15, 7},         // softmax regression, odd widths
   };
   uint64_t seed = 100;
   for (const auto& arch : architectures) {
     for (int batch_size : {1, 3, 32, 33}) {
       Dataset data = RandomDataset(arch.front(), arch.back(), 64, ++seed);
       Mlp model(arch);
+      model.InitializeParameters(++seed);
+      const std::vector<int> batch = RandomBatch(batch_size, 64, ++seed);
+      CompareAgainstReference(model, data, batch, workspace);
+    }
+  }
+}
+
+// A linear model (softmax regression) is the Mlp with no hidden layer.
+TEST(GoldenReferenceTest, LinearModelMatchesNaiveOnRandomInstances) {
+  TrainingWorkspace workspace;
+  uint64_t seed = 300;
+  for (const auto& [dim, classes] : {std::pair{6, 3}, std::pair{32, 10},
+                                     std::pair{15, 7}}) {
+    for (int batch_size : {1, 4, 32}) {
+      Dataset data = RandomDataset(dim, classes, 64, ++seed);
+      Mlp model({dim, classes});
       model.InitializeParameters(++seed);
       const std::vector<int> batch = RandomBatch(batch_size, 64, ++seed);
       CompareAgainstReference(model, data, batch, workspace);

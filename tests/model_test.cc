@@ -75,8 +75,13 @@ TEST(MlpTest, GradientMatchesFiniteDifferencesTwoHidden) {
   CheckGradient(model, data);
 }
 
+// A linear model (softmax regression) is the Mlp with no hidden layer.
+TEST(LinearModelTest, ParameterLayoutSize) {
+  Mlp model({6, 3});
+  EXPECT_EQ(model.num_parameters(), 6 * 3 + 3);
+}
+
 TEST(MlpTest, ParameterLayoutSize) {
-  EXPECT_EQ(Mlp({6, 3}).num_parameters(), 6 * 3 + 3);
   Mlp model({4, 6, 3});
   EXPECT_EQ(model.num_parameters(), (4 * 6 + 6) + (6 * 3 + 3));
 }
