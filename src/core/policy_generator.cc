@@ -95,6 +95,7 @@ StatusOr<CommunicationPolicy> PolicyGenerator::SolvePolicyLp(
                    static_cast<double>(n) * t_bar);
   lp.AddConstraint({}, linalg::LpRelation::kEqual, 1.0);
   std::vector<double>& times = lp.constraints[0].coefficients;
+  linalg::LpWorkspace workspace;
   linalg::Matrix p(n, n, 0.0);
   for (int i = 0; i < n; ++i) {
     // Row i's variables: p_{i,i} first, then p_{i,m} for each neighbour m in
@@ -115,7 +116,7 @@ StatusOr<CommunicationPolicy> PolicyGenerator::SolvePolicyLp(
     // Eq. (13)_i: row i of P sums to 1.
     lp.constraints[1].coefficients.assign(num_vars, 1.0);
 
-    StatusOr<linalg::LpSolution> solution = linalg::SolveLp(lp);
+    StatusOr<linalg::LpSolution> solution = linalg::SolveLp(lp, workspace);
     if (!solution.ok()) {
       return Status(solution.status().code(),
                     "row " + std::to_string(i) + ": " +
@@ -179,10 +180,11 @@ StatusOr<GeneratedPolicy> PolicyGenerator::Generate(
   }
   for (int i = 0; i < n; ++i) {
     for (int m : topology_.Neighbors(i)) {
-      if (!(iteration_times(i, m) > 0.0)) {
+      const double t = iteration_times(i, m);
+      if (!(t > 0.0) || !std::isfinite(t)) {
         return InvalidArgumentError(
             "iteration time for edge (" + std::to_string(i) + "," +
-            std::to_string(m) + ") must be positive");
+            std::to_string(m) + ") must be positive and finite");
       }
     }
   }

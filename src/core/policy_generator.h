@@ -18,8 +18,9 @@
 // into M independent row problems over [p_{i,i}, p_{i,m} for m in N(i)]. Each
 // row is solved with linalg::SolveLp; the global tableau is block-diagonal by
 // row, so the per-row solves take the same pivots as one global solve would,
-// at a small fraction of its cost. lambda_2 comes from the values-only Jacobi
-// sweep (linalg::SecondLargestEigenvalue).
+// at a small fraction of its cost. lambda_2 comes from Householder
+// tridiagonalisation and Sturm bisection (linalg::SecondLargestEigenvalue). It
+// only ranks the grid points: the winner's policy is the LP's, bit for bit.
 //
 // The same machinery generates policies for pairwise-averaging gossip
 // (Section III-D extension, e.g. AD-PSGD + Monitor) by swapping the Y matrix
@@ -81,7 +82,8 @@ class PolicyGenerator {
 
   // Runs Algorithm 3 on the measured iteration-time matrix [t_{i,m}]
   // (seconds; only entries on edges are read; all edge entries must be
-  // positive). Returns kInfeasible if no grid point admits a feasible LP.
+  // positive and finite, or it returns kInvalidArgument). Returns kInfeasible
+  // if no grid point admits a feasible LP.
   //
   // The (rho, t_bar) grid points are independent LP solves; when `pool` is
   // non-null they fan out across it. The selected policy is identical either

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <limits>
+#include <vector>
 
 #include "common/random.h"
 #include "linalg/vector_ops.h"
@@ -10,143 +11,177 @@
 namespace netmax::linalg {
 namespace {
 
-// Sum of squares of off-diagonal entries.
-double OffDiagonalNorm(const Matrix& a) {
-  const int n = a.rows();
-  const double* data = a.data().data();
-  double acc = 0.0;
-  for (int r = 0; r < n; ++r) {
-    const double* row = data + static_cast<size_t>(r) * n;
-    for (int c = 0; c < n; ++c) {
-      if (r != c) acc += row[c] * row[c];
+// A symmetric tridiagonal matrix: diagonal d[0..n) and sub-diagonal
+// e[0..n-1), where e[k] sits at (k + 1, k).
+struct Tridiagonal {
+  std::vector<double> d;
+  std::vector<double> e;
+};
+
+// Reduces the symmetric n x n matrix held row-major in `a` (n >= 2) to a
+// tridiagonal matrix with the same eigenvalues, by n - 2 Householder
+// reflections H = I - v v^T / h applied as A <- H A H. Reads and updates only
+// the lower triangle of `a`, which it destroys.
+Tridiagonal Tridiagonalize(std::vector<double>& a, int n) {
+  const auto at = [&a, n](int r, int c) -> double& {
+    return a[static_cast<size_t>(r) * static_cast<size_t>(n) +
+             static_cast<size_t>(c)];
+  };
+  Tridiagonal t;
+  t.d.resize(static_cast<size_t>(n));
+  t.e.resize(static_cast<size_t>(n - 1));
+  std::vector<double> v(static_cast<size_t>(n));
+  std::vector<double> p(static_cast<size_t>(n));
+  for (int k = 0; k + 2 < n; ++k) {
+    t.d[static_cast<size_t>(k)] = at(k, k);
+    // Column k below the diagonal, x = a[k+1..n, k], is reflected onto
+    // g * e_1 with |g| = ||x||. Working on x / sum|x_i| keeps ||.||^2 from
+    // overflowing or underflowing; H does not depend on v's scale.
+    double scale = 0.0;
+    for (int i = k + 1; i < n; ++i) scale += std::fabs(at(i, k));
+    if (scale == 0.0) {
+      t.e[static_cast<size_t>(k)] = 0.0;  // already tridiagonal here
+      continue;
     }
-  }
-  return acc;
-}
+    double h = 0.0;
+    for (int i = k + 1; i < n; ++i) {
+      const double x = at(i, k) / scale;
+      v[static_cast<size_t>(i)] = x;
+      h += x * x;
+    }
+    // g takes the sign opposite to x_0 so v_0 = x_0 - g does not cancel.
+    const double f = v[static_cast<size_t>(k + 1)];
+    const double g = f >= 0.0 ? -std::sqrt(h) : std::sqrt(h);
+    t.e[static_cast<size_t>(k)] = scale * g;
+    h -= f * g;  // v^T v / 2
+    v[static_cast<size_t>(k + 1)] = f - g;
 
-// Diagonalizes a copy of the symmetric matrix `a` with cyclic Jacobi sweeps
-// and returns it; its diagonal holds the eigenvalues. When `vectors` is
-// non-null the rotations are also accumulated into it, starting from the
-// identity. The rotations of the copy never read `vectors`, so the
-// eigenvalues are the same bits whether or not eigenvectors are wanted.
-StatusOr<Matrix> JacobiSweeps(const Matrix& a, double symmetry_tol,
-                              Matrix* vectors) {
-  if (a.rows() != a.cols()) {
-    return InvalidArgumentError("JacobiEigenSymmetric: matrix not square");
-  }
-  if (!a.IsSymmetric(symmetry_tol)) {
-    return InvalidArgumentError("JacobiEigenSymmetric: matrix not symmetric");
-  }
-  const int n = a.rows();
-  Matrix work = a;
-  if (vectors != nullptr) *vectors = Matrix::Identity(n);
-  // The rotation loops touch every element of two rows/columns per (p, q)
-  // pair; raw row-major access keeps them branch-free (operator() bounds
-  // checks would dominate the sweep).
-  double* wd = work.mutable_data().data();
-  double* vd = vectors != nullptr ? vectors->mutable_data().data() : nullptr;
-
-  constexpr int kMaxSweeps = 100;
-  constexpr double kConvergence = 1e-22;  // off-diagonal Frobenius^2 target
-  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
-    if (OffDiagonalNorm(work) < kConvergence) break;
-    for (int p = 0; p < n - 1; ++p) {
-      for (int q = p + 1; q < n; ++q) {
-        const double apq = wd[static_cast<size_t>(p) * n + q];
-        if (std::fabs(apq) < 1e-300) continue;
-        const double app = wd[static_cast<size_t>(p) * n + p];
-        const double aqq = wd[static_cast<size_t>(q) * n + q];
-        const double theta = (aqq - app) / (2.0 * apq);
-        // t = sign(theta) / (|theta| + sqrt(theta^2 + 1)) is the smaller root,
-        // which keeps rotations small and the process stable.
-        const double t = (theta >= 0.0 ? 1.0 : -1.0) /
-                         (std::fabs(theta) + std::sqrt(theta * theta + 1.0));
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double s = t * c;
-
-        // Apply the rotation J(p, q, theta) on both sides of `work` and
-        // accumulate it into `vectors` when wanted.
-        for (int k = 0; k < n; ++k) {
-          double* row = wd + static_cast<size_t>(k) * n;
-          const double akp = row[p];
-          const double akq = row[q];
-          row[p] = c * akp - s * akq;
-          row[q] = s * akp + c * akq;
-        }
-        double* wp = wd + static_cast<size_t>(p) * n;
-        double* wq = wd + static_cast<size_t>(q) * n;
-        for (int k = 0; k < n; ++k) {
-          const double apk = wp[k];
-          const double aqk = wq[k];
-          wp[k] = c * apk - s * aqk;
-          wq[k] = s * apk + c * aqk;
-        }
-        if (vd == nullptr) continue;
-        for (int k = 0; k < n; ++k) {
-          double* row = vd + static_cast<size_t>(k) * n;
-          const double vkp = row[p];
-          const double vkq = row[q];
-          row[p] = c * vkp - s * vkq;
-          row[q] = s * vkp + c * vkq;
-        }
+    // p = B v / h for the trailing block B, from its lower triangle.
+    std::fill(p.begin() + k + 1, p.end(), 0.0);
+    for (int i = k + 1; i < n; ++i) {
+      const double vi = v[static_cast<size_t>(i)];
+      double acc = at(i, i) * vi;
+      for (int j = k + 1; j < i; ++j) {
+        const double bij = at(i, j);
+        acc += bij * v[static_cast<size_t>(j)];
+        p[static_cast<size_t>(j)] += bij * vi;
+      }
+      p[static_cast<size_t>(i)] += acc;
+    }
+    double vp = 0.0;
+    for (int i = k + 1; i < n; ++i) {
+      p[static_cast<size_t>(i)] /= h;
+      vp += v[static_cast<size_t>(i)] * p[static_cast<size_t>(i)];
+    }
+    // q = p - (v^T p / 2h) v, then H B H = B - v q^T - q v^T.
+    const double half = vp / (2.0 * h);
+    for (int i = k + 1; i < n; ++i) {
+      p[static_cast<size_t>(i)] -= half * v[static_cast<size_t>(i)];
+    }
+    for (int i = k + 1; i < n; ++i) {
+      const double vi = v[static_cast<size_t>(i)];
+      const double qi = p[static_cast<size_t>(i)];
+      for (int j = k + 1; j <= i; ++j) {
+        at(i, j) -= vi * p[static_cast<size_t>(j)] +
+                    qi * v[static_cast<size_t>(j)];
       }
     }
   }
-  return work;
+  t.d[static_cast<size_t>(n - 2)] = at(n - 2, n - 2);
+  t.d[static_cast<size_t>(n - 1)] = at(n - 1, n - 1);
+  t.e[static_cast<size_t>(n - 2)] = at(n - 1, n - 2);
+  return t;
 }
 
-// Indices of the diagonal of `work`, ordered by descending value.
-std::vector<int> DescendingDiagonalOrder(const Matrix& work) {
-  std::vector<int> order(static_cast<size_t>(work.rows()));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](int x, int y) { return work(x, x) > work(y, y); });
-  return order;
+// Sturm count: the number of eigenvalues of `t` that are >= x, read off the
+// signs of the pivots of the LDL^T factorisation of T - x I (each negative
+// pivot is one eigenvalue below x). `e2` holds the squared sub-diagonal. A
+// pivot smaller than `pivot_min` in magnitude is replaced by -pivot_min, so
+// the recurrence never divides by zero and never overflows.
+int CountAtLeast(const Tridiagonal& t, const std::vector<double>& e2,
+                 double pivot_min, double x) {
+  const size_t n = t.d.size();
+  size_t below = 0;
+  double q = t.d[0] - x;
+  for (size_t i = 0;; ++i) {
+    if (std::fabs(q) < pivot_min) q = -pivot_min;
+    if (q < 0.0) ++below;
+    if (i + 1 == n) break;
+    q = t.d[i + 1] - x - e2[i] / q;
+  }
+  return static_cast<int>(n - below);
 }
 
 }  // namespace
 
-StatusOr<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
-                                                  double symmetry_tol) {
-  Matrix vectors;
-  StatusOr<Matrix> work = JacobiSweeps(a, symmetry_tol, &vectors);
-  if (!work.ok()) return work.status();
-  const int n = a.rows();
-  const std::vector<int> order = DescendingDiagonalOrder(work.value());
-
-  // Collect eigenvalues in descending order, permuting eigenvector columns.
-  EigenDecomposition out;
-  out.eigenvalues.resize(static_cast<size_t>(n));
-  out.eigenvectors = Matrix(n, n);
-  for (int c = 0; c < n; ++c) {
-    const int source = order[static_cast<size_t>(c)];
-    out.eigenvalues[static_cast<size_t>(c)] = work.value()(source, source);
-    for (int r = 0; r < n; ++r) {
-      out.eigenvectors(r, c) = vectors(r, source);
-    }
-  }
-  return out;
-}
-
-StatusOr<std::vector<double>> SymmetricEigenvalues(const Matrix& a) {
-  // Same symmetry tolerance as JacobiEigenSymmetric's default.
-  StatusOr<Matrix> work = JacobiSweeps(a, /*symmetry_tol=*/1e-9, nullptr);
-  if (!work.ok()) return work.status();
-  std::vector<double> values;
-  values.reserve(static_cast<size_t>(a.rows()));
-  for (int source : DescendingDiagonalOrder(work.value())) {
-    values.push_back(work.value()(source, source));
-  }
-  return values;
-}
-
 StatusOr<double> SecondLargestEigenvalue(const Matrix& a) {
-  if (a.rows() < 2) {
+  if (a.rows() != a.cols()) {
+    return InvalidArgumentError("SecondLargestEigenvalue: matrix not square");
+  }
+  const int n = a.rows();
+  if (n < 2) {
     return InvalidArgumentError("SecondLargestEigenvalue: need n >= 2");
   }
-  StatusOr<std::vector<double>> values = SymmetricEigenvalues(a);
-  if (!values.ok()) return values.status();
-  return values.value()[1];
+  double max_abs = 0.0;
+  for (double x : a.data()) {
+    if (!std::isfinite(x)) {
+      return InvalidArgumentError(
+          "SecondLargestEigenvalue: matrix has a non-finite entry");
+    }
+    max_abs = std::max(max_abs, std::fabs(x));
+  }
+  if (!a.IsSymmetric(1e-9)) {
+    return InvalidArgumentError("SecondLargestEigenvalue: matrix not symmetric");
+  }
+  if (max_abs == 0.0) return 0.0;
+
+  // Scale by a power of two so every entry is below 1 in magnitude: the
+  // squares in the Sturm recurrence cannot overflow, and the scaling itself
+  // rounds nothing.
+  int exponent = 0;
+  std::frexp(max_abs, &exponent);
+  std::vector<double> work(a.data().begin(), a.data().end());
+  for (double& x : work) x = std::ldexp(x, -exponent);
+  const Tridiagonal t = Tridiagonalize(work, n);
+
+  std::vector<double> e2(t.e.size());
+  double max_e2 = 0.0;
+  for (size_t k = 0; k < t.e.size(); ++k) {
+    e2[k] = t.e[k] * t.e[k];
+    max_e2 = std::max(max_e2, e2[k]);
+  }
+  const double pivot_min =
+      std::numeric_limits<double>::min() * std::max(1.0, max_e2);
+
+  // Gershgorin bounds the spectrum; widen them past the rounding of the
+  // Sturm counts so that at least two eigenvalues lie above `lo` and fewer
+  // than two above `hi`.
+  double lo = t.d[0];
+  double hi = t.d[0];
+  for (size_t i = 0; i < t.d.size(); ++i) {
+    double radius = 0.0;
+    if (i > 0) radius += std::fabs(t.e[i - 1]);
+    if (i < t.e.size()) radius += std::fabs(t.e[i]);
+    lo = std::min(lo, t.d[i] - radius);
+    hi = std::max(hi, t.d[i] + radius);
+  }
+  const double pad =
+      2.1 * (std::numeric_limits<double>::epsilon() * n *
+                 std::max(std::fabs(lo), std::fabs(hi)) +
+             pivot_min);
+  lo -= pad;
+  hi += pad;
+  // Bisect to full precision: stop once the interval has no double inside.
+  while (true) {
+    const double mid = lo + 0.5 * (hi - lo);
+    if (mid <= lo || mid >= hi) break;
+    if (CountAtLeast(t, e2, pivot_min, mid) >= 2) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return std::ldexp(lo, exponent);
 }
 
 StatusOr<double> PowerIterationLargest(const Matrix& a, int max_iters,

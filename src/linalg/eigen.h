@@ -1,55 +1,44 @@
 #ifndef NETMAX_LINALG_EIGEN_H_
 #define NETMAX_LINALG_EIGEN_H_
 
-// Symmetric eigensolvers.
+// Symmetric eigenvalue routines.
 //
 // NetMax's communication-policy generation (Algorithm 3) scores each candidate
 // policy by the second-largest eigenvalue lambda_2 of the doubly stochastic
-// matrix Y_P = E[D^kT D^k]. Y_P is symmetric, so a cyclic Jacobi rotation
-// solver is robust and exact enough; a power-iteration variant is provided as
-// an independent cross-check for tests.
-//
-// One Jacobi sweep loop serves every entry point. JacobiEigenSymmetric also
-// accumulates the rotations into eigenvectors; SymmetricEigenvalues and
-// SecondLargestEigenvalue (the K*R-times-per-Generate scoring path) skip that
-// work and return the same eigenvalue bits.
+// matrix Y_P = E[D^kT D^k], at every feasible (rho, t_bar) grid point and on
+// every monitor period. Y_P is symmetric, so SecondLargestEigenvalue reduces
+// it to tridiagonal form with Householder reflections (about 4/3 n^3 flops)
+// and then bisects on Sturm counts, which needs no eigenvectors and no
+// iteration tolerance. The bisection counts eigenvalues >= x, so a repeated
+// lambda_2, and lambda_2 = lambda_1 = 1 on a disconnected Y, come out right.
+// tests/eigen_reference.h holds a cyclic Jacobi decomposition as the test
+// oracle; the power-iteration variants below are independent cross-checks for
+// tests.
 
-#include <vector>
+#include <cstdint>
 
 #include "common/status.h"
 #include "linalg/matrix.h"
 
 namespace netmax::linalg {
 
-struct EigenDecomposition {
-  // Eigenvalues sorted in descending order.
-  std::vector<double> eigenvalues;
-  // Column c of `eigenvectors` is the unit eigenvector for eigenvalues[c].
-  Matrix eigenvectors;
-};
-
-// Computes the full eigendecomposition of the symmetric matrix `a` with the
-// cyclic Jacobi method. Returns InvalidArgument if `a` is not square or not
-// symmetric (within `symmetry_tol`).
-StatusOr<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
-                                                  double symmetry_tol = 1e-9);
-
-// Returns all eigenvalues of symmetric `a` in descending order, bit-identical
-// to JacobiEigenSymmetric(a)->eigenvalues without computing eigenvectors.
-StatusOr<std::vector<double>> SymmetricEigenvalues(const Matrix& a);
-
-// Returns the second-largest eigenvalue of symmetric `a` (n >= 2).
+// Returns the second-largest eigenvalue of the symmetric matrix `a` (n >= 2),
+// counted with multiplicity, to the last few bits that bisection can resolve.
+// Returns InvalidArgument if `a` is smaller than 2x2, not square, has a
+// non-finite entry, or is not symmetric within 1e-9. Only the lower triangle
+// is read beyond that check.
 StatusOr<double> SecondLargestEigenvalue(const Matrix& a);
 
 // Estimates the largest eigenvalue (by absolute value) of symmetric `a` by
-// power iteration; `seed` initializes the start vector. Used in tests to
-// cross-check Jacobi.
+// power iteration; `seed` initializes the start vector. Used in tests as an
+// independent cross-check.
 StatusOr<double> PowerIterationLargest(const Matrix& a, int max_iters = 2000,
                                        double tol = 1e-12, uint64_t seed = 7);
 
 // Estimates the second-largest eigenvalue of a symmetric doubly stochastic
 // matrix by power iteration on the component orthogonal to the all-ones
-// vector (whose eigenvalue is 1). Used in tests to cross-check Jacobi.
+// vector (whose eigenvalue is 1). Used in tests as an independent
+// cross-check.
 StatusOr<double> PowerIterationSecondLargestStochastic(const Matrix& a,
                                                        int max_iters = 4000,
                                                        double tol = 1e-12,

@@ -2,8 +2,8 @@
 #define NETMAX_LINALG_MATRIX_H_
 
 // Row-major dense matrix of doubles. Sized for the small, dense problems this
-// project solves (policy matrices P, Y_P matrices and their Jacobi work copies,
-// of dimension M <= a few hundred) — not a general BLAS.
+// project solves (policy matrices P and Y_P matrices, of dimension M <= a few
+// hundred) — not a general BLAS.
 
 #include <initializer_list>
 #include <span>

@@ -1,6 +1,8 @@
 #include "linalg/simplex.h"
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -9,15 +11,19 @@ namespace {
 
 constexpr double kTol = 1e-9;
 
-// Full-tableau simplex state. Columns 0..n-1 are structural+slack variables,
-// implicit column n is the rhs. Row m is the (reduced) cost row; its rhs cell
-// holds -objective.
+// Full-tableau simplex state, laid out in a workspace's storage. Columns
+// 0..n-1 are structural+slack variables, implicit column n is the rhs. Row m
+// is the (reduced) cost row; its rhs cell holds -objective.
 class Tableau {
  public:
-  Tableau(int num_rows, int num_cols)
-      : m_(num_rows), n_(num_cols),
-        cells_((static_cast<size_t>(num_rows) + 1) * (num_cols + 1), 0.0),
-        basis_(static_cast<size_t>(num_rows), -1) {}
+  // Clears `cells` to an all-zero (num_rows + 1) x (num_cols + 1) tableau
+  // and `basis` to num_rows unset entries, keeping their capacity.
+  Tableau(int num_rows, int num_cols, std::vector<double>& cells,
+          std::vector<int>& basis)
+      : m_(num_rows), n_(num_cols), cells_(cells), basis_(basis) {
+    cells_.assign((static_cast<size_t>(num_rows) + 1) * (num_cols + 1), 0.0);
+    basis_.assign(static_cast<size_t>(num_rows), -1);
+  }
 
   double& At(int r, int c) {
     return cells_[static_cast<size_t>(r) * (n_ + 1) + c];
@@ -57,10 +63,9 @@ class Tableau {
   }
 
   // Runs simplex iterations until optimality / unboundedness / the iteration
-  // cap. `allowed(c)` filters which columns may enter (phase 2 excludes
-  // artificials). Returns OK on optimality.
-  Status Iterate(const std::vector<bool>& allowed, int max_iters,
-                 int* iterations_out) {
+  // cap. Only columns below `enter_limit` may enter (phase 2 excludes the
+  // artificials, which are the last columns). Returns OK on optimality.
+  Status Iterate(int enter_limit, int max_iters, int* iterations_out) {
     int iters = 0;
     // Dantzig pricing is fast in practice; after kBlandSwitch iterations we
     // switch to Bland's rule, which provably terminates.
@@ -73,8 +78,7 @@ class Tableau {
       // Entering column.
       int enter = -1;
       double best = -kTol;
-      for (int c = 0; c < n_; ++c) {
-        if (!allowed[static_cast<size_t>(c)]) continue;
+      for (int c = 0; c < enter_limit; ++c) {
         const double cost = Cost(c);
         if (cost < -kTol) {
           if (use_bland) {
@@ -115,9 +119,22 @@ class Tableau {
  private:
   int m_;
   int n_;
-  std::vector<double> cells_;
-  std::vector<int> basis_;
+  std::vector<double>& cells_;
+  std::vector<int>& basis_;
 };
+
+// The relation of a row after it was multiplied by -1.
+LpRelation Flipped(LpRelation relation) {
+  switch (relation) {
+    case LpRelation::kLessEqual:
+      return LpRelation::kGreaterEqual;
+    case LpRelation::kGreaterEqual:
+      return LpRelation::kLessEqual;
+    case LpRelation::kEqual:
+      break;
+  }
+  return LpRelation::kEqual;
+}
 
 }  // namespace
 
@@ -131,26 +148,39 @@ void LpProblem::AddConstraint(std::vector<double> coefficients,
 }
 
 StatusOr<LpSolution> SolveLp(const LpProblem& problem) {
+  LpWorkspace workspace;
+  return SolveLp(problem, workspace);
+}
+
+StatusOr<LpSolution> SolveLp(const LpProblem& problem,
+                             LpWorkspace& workspace) {
   const int n_struct = problem.num_vars;
   if (n_struct <= 0) return InvalidArgumentError("LP has no variables");
   if (static_cast<int>(problem.objective.size()) != n_struct) {
     return InvalidArgumentError("objective length != num_vars");
   }
-  std::vector<double> lb = problem.lower_bounds;
-  std::vector<double> ub = problem.upper_bounds;
-  if (lb.empty()) lb.assign(static_cast<size_t>(n_struct), 0.0);
-  if (ub.empty()) ub.assign(static_cast<size_t>(n_struct), kLpInfinity);
-  if (static_cast<int>(lb.size()) != n_struct ||
-      static_cast<int>(ub.size()) != n_struct) {
+  const std::vector<double>& lbs = problem.lower_bounds;
+  const std::vector<double>& ubs = problem.upper_bounds;
+  if ((!lbs.empty() && static_cast<int>(lbs.size()) != n_struct) ||
+      (!ubs.empty() && static_cast<int>(ubs.size()) != n_struct)) {
     return InvalidArgumentError("bounds length != num_vars");
   }
+  // Empty bound vectors mean all zeros / all +inf.
+  const auto lb = [&lbs](int j) {
+    return lbs.empty() ? 0.0 : lbs[static_cast<size_t>(j)];
+  };
+  const auto ub = [&ubs](int j) {
+    return ubs.empty() ? kLpInfinity : ubs[static_cast<size_t>(j)];
+  };
+  int num_upper = 0;
   for (int j = 0; j < n_struct; ++j) {
-    if (!std::isfinite(lb[static_cast<size_t>(j)])) {
+    if (!std::isfinite(lb(j))) {
       return InvalidArgumentError("lower bounds must be finite");
     }
-    if (ub[static_cast<size_t>(j)] < lb[static_cast<size_t>(j)] - kTol) {
+    if (ub(j) < lb(j) - kTol) {
       return InfeasibleError("variable bound range is empty");
     }
+    if (std::isfinite(ub(j))) ++num_upper;
   }
   for (const LpConstraint& c : problem.constraints) {
     if (static_cast<int>(c.coefficients.size()) != n_struct) {
@@ -158,58 +188,19 @@ StatusOr<LpSolution> SolveLp(const LpProblem& problem) {
     }
   }
 
-  // Shift variables by their lower bounds: x = lb + y, y >= 0. Finite upper
-  // bounds become extra rows y_j <= ub_j - lb_j.
-  struct Row {
-    std::vector<double> a;
-    LpRelation rel;
-    double rhs;
-  };
-  std::vector<Row> rows;
-  rows.reserve(problem.constraints.size());
-  for (const LpConstraint& c : problem.constraints) {
-    Row row;
-    row.a = c.coefficients;
-    row.rel = c.relation;
-    row.rhs = c.rhs;
-    for (int j = 0; j < n_struct; ++j) {
-      row.rhs -= row.a[static_cast<size_t>(j)] * lb[static_cast<size_t>(j)];
-    }
-    rows.push_back(std::move(row));
-  }
-  for (int j = 0; j < n_struct; ++j) {
-    if (std::isfinite(ub[static_cast<size_t>(j)])) {
-      Row row;
-      row.a.assign(static_cast<size_t>(n_struct), 0.0);
-      row.a[static_cast<size_t>(j)] = 1.0;
-      row.rel = LpRelation::kLessEqual;
-      row.rhs = ub[static_cast<size_t>(j)] - lb[static_cast<size_t>(j)];
-      rows.push_back(std::move(row));
-    }
-  }
-  double objective_shift = 0.0;
-  for (int j = 0; j < n_struct; ++j) {
-    objective_shift +=
-        problem.objective[static_cast<size_t>(j)] * lb[static_cast<size_t>(j)];
-  }
-
-  // Normalize rhs >= 0 (flip rows), then count slack and artificial columns.
-  const int m = static_cast<int>(rows.size());
-  for (Row& row : rows) {
-    if (row.rhs < 0.0) {
-      for (double& a : row.a) a = -a;
-      row.rhs = -row.rhs;
-      if (row.rel == LpRelation::kLessEqual) {
-        row.rel = LpRelation::kGreaterEqual;
-      } else if (row.rel == LpRelation::kGreaterEqual) {
-        row.rel = LpRelation::kLessEqual;
-      }
-    }
-  }
+  // Shift variables by their lower bounds: x = lb + y, y >= 0. The rows are
+  // the constraints, then one row y_j <= ub_j - lb_j per finite upper bound.
+  // A row with a negative rhs is multiplied by -1 (rhs >= 0), which turns its
+  // zero coefficients into -0.0. First pass: each row's rhs before that
+  // flip, and the slack and artificial columns the flipped relations need.
+  const int num_constraints = static_cast<int>(problem.constraints.size());
+  const int m = num_constraints + num_upper;
+  std::vector<double>& row_rhs = workspace.row_rhs_;
+  row_rhs.resize(static_cast<size_t>(m));
   int num_slack = 0;
   int num_artificial = 0;
-  for (const Row& row : rows) {
-    switch (row.rel) {
+  const auto count_columns = [&](LpRelation relation, double rhs) {
+    switch (rhs < 0.0 ? Flipped(relation) : relation) {
       case LpRelation::kLessEqual:
         ++num_slack;
         break;
@@ -221,20 +212,35 @@ StatusOr<LpSolution> SolveLp(const LpProblem& problem) {
         ++num_artificial;
         break;
     }
+  };
+  for (int r = 0; r < num_constraints; ++r) {
+    const LpConstraint& c = problem.constraints[static_cast<size_t>(r)];
+    double rhs = c.rhs;
+    for (int j = 0; j < n_struct; ++j) {
+      rhs -= c.coefficients[static_cast<size_t>(j)] * lb(j);
+    }
+    row_rhs[static_cast<size_t>(r)] = rhs;
+    count_columns(c.relation, rhs);
+  }
+  for (int j = 0, r = num_constraints; j < n_struct; ++j) {
+    if (!std::isfinite(ub(j))) continue;
+    row_rhs[static_cast<size_t>(r)] = ub(j) - lb(j);
+    count_columns(LpRelation::kLessEqual, row_rhs[static_cast<size_t>(r)]);
+    ++r;
+  }
+  double objective_shift = 0.0;
+  for (int j = 0; j < n_struct; ++j) {
+    objective_shift += problem.objective[static_cast<size_t>(j)] * lb(j);
   }
   const int n_total = n_struct + num_slack + num_artificial;
   const int artificial_begin = n_struct + num_slack;
 
-  Tableau tableau(m, n_total);
+  // Second pass: write each row straight into the zeroed tableau.
+  Tableau tableau(m, n_total, workspace.cells_, workspace.basis_);
   int slack_cursor = n_struct;
   int artificial_cursor = artificial_begin;
-  for (int r = 0; r < m; ++r) {
-    const Row& row = rows[static_cast<size_t>(r)];
-    for (int j = 0; j < n_struct; ++j) {
-      tableau.At(r, j) = row.a[static_cast<size_t>(j)];
-    }
-    tableau.Rhs(r) = row.rhs;
-    switch (row.rel) {
+  const auto add_logicals = [&](int r, LpRelation relation) {
+    switch (relation) {
       case LpRelation::kLessEqual:
         tableau.At(r, slack_cursor) = 1.0;
         tableau.set_basis(r, slack_cursor);
@@ -253,11 +259,33 @@ StatusOr<LpSolution> SolveLp(const LpProblem& problem) {
         ++artificial_cursor;
         break;
     }
+  };
+  for (int r = 0; r < num_constraints; ++r) {
+    const LpConstraint& c = problem.constraints[static_cast<size_t>(r)];
+    const double rhs = row_rhs[static_cast<size_t>(r)];
+    const bool flip = rhs < 0.0;
+    for (int j = 0; j < n_struct; ++j) {
+      const double a = c.coefficients[static_cast<size_t>(j)];
+      tableau.At(r, j) = flip ? -a : a;
+    }
+    tableau.Rhs(r) = flip ? -rhs : rhs;
+    add_logicals(r, flip ? Flipped(c.relation) : c.relation);
+  }
+  for (int j = 0, r = num_constraints; j < n_struct; ++j) {
+    if (!std::isfinite(ub(j))) continue;
+    const double rhs = row_rhs[static_cast<size_t>(r)];
+    const bool flip = rhs < 0.0;
+    if (flip) {
+      for (int k = 0; k < n_struct; ++k) tableau.At(r, k) = -0.0;
+    }
+    tableau.At(r, j) = flip ? -1.0 : 1.0;
+    tableau.Rhs(r) = flip ? -rhs : rhs;
+    add_logicals(r, flip ? LpRelation::kGreaterEqual : LpRelation::kLessEqual);
+    ++r;
   }
 
   const int max_iters = 2000 + 200 * (m + n_total);
   int iterations = 0;
-  std::vector<bool> allow_all(static_cast<size_t>(n_total), true);
 
   // ---- Phase 1: minimize the sum of artificial variables. ----
   if (num_artificial > 0) {
@@ -271,7 +299,7 @@ StatusOr<LpSolution> SolveLp(const LpProblem& problem) {
         }
       }
     }
-    Status phase1 = tableau.Iterate(allow_all, max_iters, &iterations);
+    Status phase1 = tableau.Iterate(n_total, max_iters, &iterations);
     if (!phase1.ok()) return phase1;
     const double infeasibility = -tableau.CostRhs();
     if (infeasibility > 1e-7) {
@@ -310,11 +338,7 @@ StatusOr<LpSolution> SolveLp(const LpProblem& problem) {
       }
     }
   }
-  std::vector<bool> allow_no_artificial(static_cast<size_t>(n_total), true);
-  for (int c = artificial_begin; c < n_total; ++c) {
-    allow_no_artificial[static_cast<size_t>(c)] = false;
-  }
-  Status phase2 = tableau.Iterate(allow_no_artificial, max_iters, &iterations);
+  Status phase2 = tableau.Iterate(artificial_begin, max_iters, &iterations);
   if (!phase2.ok()) return phase2;
 
   LpSolution solution;
@@ -326,7 +350,7 @@ StatusOr<LpSolution> SolveLp(const LpProblem& problem) {
     }
   }
   for (int j = 0; j < n_struct; ++j) {
-    solution.x[static_cast<size_t>(j)] += lb[static_cast<size_t>(j)];
+    solution.x[static_cast<size_t>(j)] += lb(j);
   }
   solution.objective_value = -tableau.CostRhs() + objective_shift;
   solution.iterations = iterations;

@@ -15,7 +15,8 @@
 // equality rows Eq. (10)_i and Eq. (13)_i, and one upper-bound row per
 // variable. At most M variables and M + 2 rows, so a dense tableau solver
 // with Dantzig pricing (falling back to Bland's rule for anti-cycling) is
-// simple and fast enough.
+// simple and fast enough. The tableau is written in place, row by row, into
+// storage an LpWorkspace can carry from one row's solve to the next.
 //
 // Conventions:
 //  * minimization;
@@ -62,12 +63,29 @@ struct LpSolution {
   int iterations = 0;
 };
 
+class LpWorkspace;
+
 // Solves `problem`. Returns:
 //  * the optimum on success,
 //  * kInfeasible if no point satisfies the constraints,
 //  * kUnbounded if the objective is unbounded below,
 //  * kInvalidArgument on malformed input.
 StatusOr<LpSolution> SolveLp(const LpProblem& problem);
+
+// The same solve, laying its tableau out in `workspace`'s storage instead of
+// allocating it. The result does not depend on what the workspace held.
+StatusOr<LpSolution> SolveLp(const LpProblem& problem, LpWorkspace& workspace);
+
+// Tableau storage that a caller solving many small LPs in a row (such as one
+// per row of a policy matrix) keeps between SolveLp calls. Not thread-safe:
+// use one per thread.
+class LpWorkspace {
+ private:
+  friend StatusOr<LpSolution> SolveLp(const LpProblem&, LpWorkspace&);
+  std::vector<double> cells_;
+  std::vector<int> basis_;
+  std::vector<double> row_rhs_;
+};
 
 inline constexpr double kLpInfinity = std::numeric_limits<double>::infinity();
 

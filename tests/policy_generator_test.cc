@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "linalg/eigen.h"
+#include "tests/eigen_reference.h"
 #include "tests/policy_lp_reference.h"
 
 namespace netmax::core {
@@ -144,6 +146,23 @@ TEST(PolicyGeneratorTest, RejectsNonPositiveTimes) {
   PolicyGenerator generator(topo, DefaultOptions());
   linalg::Matrix times(3, 3, 0.0);  // zero iteration times are invalid
   EXPECT_FALSE(generator.Generate(times).ok());
+}
+
+TEST(PolicyGeneratorTest, RejectsNonFiniteTimes) {
+  // !(t > 0) alone lets +inf through, and T_conv would come out NaN.
+  net::Topology topo = net::Topology::Complete(4);
+  PolicyGenerator generator(topo, DefaultOptions());
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    linalg::Matrix all_bad(4, 4, bad);
+    linalg::Matrix one_bad(4, 4, 0.5);
+    one_bad(2, 3) = bad;
+    for (const linalg::Matrix& times : {all_bad, one_bad}) {
+      auto result = generator.Generate(times);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(PolicyGeneratorTest, RejectsWrongShape) {
@@ -371,6 +390,10 @@ TEST_P(GeneratorProperty, GeneratedPoliciesAreFeasibleContractions) {
                         probs);
   ASSERT_TRUE(y.ok()) << y.status();
   EXPECT_TRUE(y->IsDoublyStochastic(1e-7));
+  // The reported lambda_2 is the returned policy's, per the Jacobi oracle.
+  auto full = linalg::reference::JacobiEigenSymmetric(*y);
+  ASSERT_TRUE(full.ok()) << full.status();
+  EXPECT_NEAR(result->lambda2, full->eigenvalues[1], 1e-10);
 }
 
 INSTANTIATE_TEST_SUITE_P(
